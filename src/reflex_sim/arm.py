@@ -173,20 +173,16 @@ def limit_torques(state: ArmState, model: ArmModel) -> tuple[np.ndarray, np.ndar
 def step_dynamics(
     state: ArmState,
     tau_muscle: np.ndarray,
-    tau_ext: np.ndarray,
     dt: float,
     model: ArmModel,
 ) -> tuple[ArmState, np.ndarray]:
     """One semi-implicit Euler step; returns (new state, limit-force magnitudes)."""
-    if not (np.all(np.isfinite(tau_muscle)) and np.all(np.isfinite(tau_ext))):
-        raise SimulationDiverged(
-            f"non-finite applied torque: muscle={tau_muscle!r} ext={tau_ext!r}"
-        )
+    if not np.all(np.isfinite(tau_muscle)):
+        raise SimulationDiverged(f"non-finite applied torque: muscle={tau_muscle!r}")
     j = model.joints
     tau_limit, limit_force = limit_torques(state, model)
     tau_nf = (
         np.asarray(tau_muscle, dtype=float)
-        + np.asarray(tau_ext, dtype=float)
         + gravity_torques(state, model)
         + tau_limit
         - j.damping * state.omega

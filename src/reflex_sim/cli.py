@@ -11,22 +11,23 @@ tick) and ``metrics.txt`` (key = value summary).  Sweeps add one
 sub-directory per parameter set plus ``comparison.csv``.  Reruns of the
 same command produce byte-identical CSV files.
 
+The config file sets every value; ``--reflex``/``--feedback`` only switch a
+layer on or off, and ``--seed`` sets the seed.
+
 Exit codes: 0 success, 2 configuration error, 3 simulation divergence,
-4 acceptance check failure.  REFLEX_SIM_THREADS caps sweep parallelism.
+4 acceptance check failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .acceptance import check_experiment
+from .acceptance import check_experiment, run_variant
 from .config import (
     ExperimentConfig,
     custom_scenario,
@@ -47,7 +48,6 @@ from .metrics import (
     write_summary,
 )
 from .robot import Robot
-from .scenario import run
 from .telemetry import TelemetryLog
 
 __all__ = ["main"]
@@ -56,8 +56,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_ACCEPTANCE = 4
-
-THREADS_ENV = "REFLEX_SIM_THREADS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,77 +91,37 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---- experiment assembly ----
 
 
-def _custom_experiment(cfg: ExperimentConfig, robot: Robot, seed: int | None) -> ExperimentDef:
-    scenario = custom_scenario(cfg, robot, seed=seed)
-    on = Variant(
-        "reflex-on",
-        True,
-        cfg.dl_stretch if cfg.dl_stretch is not None else 10.0,
-        cfg.dt_loose if cfg.dt_loose is not None else 0.5,
-    )
-    off = Variant("reflex-off", False)
-    theta_ref = (
-        cfg.theta_ref if cfg.theta_ref is not None else tuple(float(v) for v in scenario.theta0)
-    )
-    return ExperimentDef(
-        name=cfg.name,
-        scenario=scenario,
-        feedback=None,
-        analysis=AnalysisParams(theta_ref=theta_ref),
-        default_variant=on if cfg.reflex_enabled else off,
-        paper_sweep=(off, on),
-        c_stretch=cfg.c_stretch if cfg.c_stretch is not None else 15.0,
-    )
+def _pick(value, fallback):
+    return fallback if value is None else value
 
 
-def _merge_config(exp: ExperimentDef, cfg: ExperimentConfig | None) -> ExperimentDef:
-    if cfg is None:
-        return exp
-    v = exp.default_variant
-    if cfg.dl_stretch is not None:
-        v = replace(v, dl_stretch=cfg.dl_stretch)
-    if cfg.dt_loose is not None:
-        v = replace(v, dt_loose=cfg.dt_loose)
-    if cfg.reflex_enabled is not None and cfg.reflex_enabled != v.reflex:
-        v = replace(v, reflex=cfg.reflex_enabled,
-                    label="reflex-on" if cfg.reflex_enabled else "reflex-off")
-    exp = replace(exp, default_variant=v)
-    if cfg.c_stretch is not None:
-        exp = replace(exp, c_stretch=cfg.c_stretch)
-
-    fb = exp.feedback
-    if cfg.feedback_enabled is False:
-        fb = None
-    elif cfg.feedback_enabled or fb is not None:
-        if fb is None:
-            fb = FeedbackParams(theta_ref=exp.scenario.theta0.copy())
-        if cfg.alpha is not None:
-            fb = replace(fb, alpha=cfg.alpha)
-        if cfg.rate_hz is not None:
-            fb = replace(fb, rate_hz=cfg.rate_hz)
-        if cfg.theta_ref is not None:
-            fb = replace(fb, theta_ref=np.array(cfg.theta_ref, dtype=float))
-    return replace(exp, feedback=fb)
+def _configured(v: Variant, cfg: ExperimentConfig) -> Variant:
+    """``v`` with the reflex settings the config file sets."""
+    return replace(v, dl_stretch=_pick(cfg.dl_stretch, v.dl_stretch),
+                   dt_loose=_pick(cfg.dt_loose, v.dt_loose))
 
 
-def _apply_flags(exp: ExperimentDef, args) -> ExperimentDef:
+def _with_overrides(exp: ExperimentDef, cfg: ExperimentConfig | None, args) -> ExperimentDef:
+    """Apply the config file's values, then the --reflex/--feedback switches and --seed."""
+    v, c_stretch = exp.default_variant, exp.c_stretch
+    fb = exp.feedback or FeedbackParams(theta_ref=exp.scenario.theta0.copy())
+    reflex_on, feedback_on = v.reflex, exp.feedback is not None
+    if cfg is not None:
+        v, c_stretch = _configured(v, cfg), _pick(cfg.c_stretch, c_stretch)
+        theta_ref = fb.theta_ref if cfg.theta_ref is None else np.array(cfg.theta_ref, dtype=float)
+        fb = replace(fb, alpha=_pick(cfg.alpha, fb.alpha), rate_hz=_pick(cfg.rate_hz, fb.rate_hz),
+                     theta_ref=theta_ref)
+        reflex_on = _pick(cfg.reflex_enabled, reflex_on)
+        feedback_on = _pick(cfg.feedback_enabled, feedback_on)
     if args.reflex is not None:
-        want = args.reflex == "on"
-        if want != exp.default_variant.reflex:
-            exp = replace(
-                exp,
-                default_variant=replace(
-                    exp.default_variant, reflex=want,
-                    label="reflex-on" if want else "reflex-off",
-                ),
-            )
-    if args.feedback == "off":
-        exp = replace(exp, feedback=None)
-    elif args.feedback == "on" and exp.feedback is None:
-        exp = replace(exp, feedback=FeedbackParams(theta_ref=exp.scenario.theta0.copy()))
-    if args.seed is not None:
-        exp = replace(exp, scenario=replace(exp.scenario, seed=args.seed))
-    return exp
+        reflex_on = args.reflex == "on"
+    if args.feedback is not None:
+        feedback_on = args.feedback == "on"
+    if reflex_on != v.reflex:
+        v = replace(v, reflex=reflex_on, label="reflex-on" if reflex_on else "reflex-off")
+    scenario = exp.scenario if args.seed is None else replace(exp.scenario, seed=args.seed)
+    return replace(exp, scenario=scenario, default_variant=v, c_stretch=c_stretch,
+                   feedback=fb if feedback_on else None)
 
 
 def _resolve_experiment(args) -> tuple[ExperimentDef, Robot]:
@@ -172,6 +130,9 @@ def _resolve_experiment(args) -> tuple[ExperimentDef, Robot]:
         robot = load_robot(cfg.robot_path)
     else:
         robot = default_robot()
+    n_joints = robot.model.n_joints
+    if cfg is not None and cfg.theta_ref is not None and len(cfg.theta_ref) != n_joints:
+        raise ConfigError([f"feedback.theta_ref: expected {n_joints} joints, got {len(cfg.theta_ref)}"])
 
     if args.experiment == "custom":
         if cfg is None:
@@ -180,8 +141,18 @@ def _resolve_experiment(args) -> tuple[ExperimentDef, Robot]:
             raise ConfigError(
                 [f"run custom: config selects scenario {cfg.scenario!r}, not a custom script"]
             )
-        exp = _custom_experiment(cfg, robot, args.seed)
-        exp = _merge_config(exp, replace(cfg, reflex_enabled=None, dl_stretch=None, dt_loose=None))
+        scenario = custom_scenario(cfg, robot)
+        off = Variant("reflex-off", False)
+        exp = ExperimentDef(
+            name=cfg.name,
+            scenario=scenario,
+            feedback=None,
+            analysis=AnalysisParams(
+                theta_ref=_pick(cfg.theta_ref, tuple(float(v) for v in scenario.theta0))
+            ),
+            default_variant=off,
+            paper_sweep=(off, _configured(Variant("reflex-on", True), cfg)),
+        )
     else:
         if cfg is not None and cfg.scenario != args.experiment:
             raise ConfigError(
@@ -190,18 +161,9 @@ def _resolve_experiment(args) -> tuple[ExperimentDef, Robot]:
                     f"{cfg.scenario!r}; pass the matching experiment name"
                 ]
             )
-        overrides = {}
-        if cfg is not None and cfg.scenario == args.experiment and cfg.scenario_params:
-            overrides[args.experiment] = dict(cfg.scenario_params)
-        try:
-            exp = builtin_experiments(robot, **overrides)[args.experiment]
-        except TypeError:
-            keys = ", ".join(sorted(overrides.get(args.experiment, {})))
-            raise ConfigError(
-                [f"scenario_params: unknown parameter for {args.experiment}: {keys}"]
-            ) from None
-        exp = _merge_config(exp, cfg)
-    return _apply_flags(exp, args), robot
+        params = {args.experiment: cfg.scenario_params} if cfg is not None else {}
+        exp = builtin_experiments(robot, **params)[args.experiment]
+    return _with_overrides(exp, cfg, args), robot
 
 
 def _resolve_sweep(exp: ExperimentDef, sweep_arg: str) -> tuple[Variant, ...]:
@@ -220,25 +182,11 @@ def _resolve_sweep(exp: ExperimentDef, sweep_arg: str) -> tuple[Variant, ...]:
     return cfg.sweep
 
 
-def _thread_cap(n_variants: int) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return max(1, min(n_variants, os.cpu_count() or 1))
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError([f"{THREADS_ENV}: must be a positive integer, got {raw!r}"])
-    return max(1, min(n_variants, cap))
-
-
 # ---- execution ----
 
 
 def _run_one(exp: ExperimentDef, robot: Robot, variant: Variant, out_dir: Path) -> None:
-    reflex = exp.reflex_params(variant, robot.groups)
-    log = run(exp.scenario, robot, reflex=reflex, feedback=exp.feedback)
+    log = run_variant(exp, robot, variant)
     out_dir.mkdir(parents=True, exist_ok=True)
     log.to_csv(out_dir / "log.csv")
     write_summary(compute_report(log, exp.analysis), out_dir / "metrics.txt")
@@ -268,13 +216,8 @@ def _cmd_run(args) -> int:
         labels = [v.label for v in variants]
         if len(set(labels)) != len(labels):
             raise ConfigError([f"sweep: duplicate variant labels {labels}"])
-        workers = _thread_cap(len(variants))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_one, exp, robot, v, exp_dir / v.label) for v in variants
-            ]
-            for fut in futures:
-                fut.result()
+        for v in variants:
+            _run_one(exp, robot, v, exp_dir / v.label)
         _write_comparison(exp_dir, variants)
         print(f"wrote {len(variants)} runs under {exp_dir}")
     else:

@@ -15,6 +15,8 @@ carrying that list.
 from __future__ import annotations
 
 import importlib.resources
+import inspect
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +25,7 @@ import yaml
 
 from .arm import ArmModel, JointParams, LinkParams
 from .errors import ConfigError
-from .experiments import EXPERIMENT_NAMES, Variant
+from .experiments import EXPERIMENT_FUNCTIONS, EXPERIMENT_NAMES, Variant
 from .muscles import MuscleParams
 from .robot import Robot
 from .scenario import Impulse, PayloadSet, RefTrajectory, ScenarioScript
@@ -70,15 +72,22 @@ class ExperimentConfig:
 # ---- small validation helpers ----
 
 
-def _num(d, key, path, errors, *, gt=None, ge=None, lt=None, le=None, default=None):
+def _is_number(v, inf_ok=False) -> bool:
+    """A real number that is not NaN; infinite only when ``inf_ok``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return math.isfinite(v) or (inf_ok and math.isinf(v))
+
+
+def _num(d, key, path, errors, *, gt=None, ge=None, lt=None, le=None, required=True,
+         inf_ok=False):
     if key not in d:
-        if default is not None:
-            return default
-        errors.append(f"{path}.{key}: required")
+        if required:
+            errors.append(f"{path}.{key}: required")
         return None
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errors.append(f"{path}.{key}: must be a number, got {v!r}")
+    if not _is_number(v, inf_ok):
+        errors.append(f"{path}.{key}: must be a finite number, got {v!r}")
         return None
     v = float(v)
     if gt is not None and not v > gt:
@@ -98,10 +107,8 @@ def _numlist(d, key, path, errors, *, required=True):
             errors.append(f"{path}.{key}: required")
         return None
     v = d[key]
-    if not isinstance(v, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in v
-    ):
-        errors.append(f"{path}.{key}: must be a list of numbers")
+    if not isinstance(v, list) or not all(_is_number(x) for x in v):
+        errors.append(f"{path}.{key}: must be a list of finite numbers")
         return None
     return [float(x) for x in v]
 
@@ -138,7 +145,7 @@ def _robot_errors(doc) -> list[str]:
     if not isinstance(doc, dict):
         return errors
 
-    _num(doc, "gravity", "", errors, ge=0.0, default=9.81)
+    _num(doc, "gravity", "", errors, ge=0.0, required=False)
 
     joints = _seq_of_maps(doc, "joints", "", errors)
     links = _seq_of_maps(doc, "links", "", errors)
@@ -149,8 +156,8 @@ def _robot_errors(doc) -> list[str]:
             p = f"joints[{i}]"
             _num(j, "inertia", p, errors, gt=0.0)
             _num(j, "damping", p, errors, ge=0.0)
-            lo = _num(j, "limit_lo", p, errors)
-            hi = _num(j, "limit_hi", p, errors)
+            lo = _num(j, "limit_lo", p, errors, inf_ok=True)
+            hi = _num(j, "limit_hi", p, errors, inf_ok=True)
             if lo is not None and hi is not None and not lo < hi:
                 errors.append(f"{p}.limit_lo: must be < limit_hi ({lo} >= {hi})")
             _num(j, "limit_stiffness", p, errors, ge=0.0)
@@ -227,13 +234,12 @@ def _robot_from_doc(doc) -> Robot:
     )
     muscles = doc["muscles"]
     G = np.array([[float(a) for a in m["moment_arms"]] for m in muscles]).T
-    l0 = np.array([float(m["l0"]) for m in muscles])
     model = ArmModel(
-        joints=jp, G=G, l0=l0, links=lp, gravity_g=float(doc.get("gravity", 9.81))
+        joints=jp, G=G, l0=np.array([float(m["l0"]) for m in muscles]), links=lp,
+        gravity_g=float(doc.get("gravity", 9.81)),
     )
     mp = MuscleParams(
         k=np.array([float(m["k"]) for m in muscles]),
-        l0=l0.copy(),
         f_max=np.array([float(m["f_max"]) for m in muscles]),
         motor_vmax=np.array([float(m["motor_vmax"]) for m in muscles]),
         servo_gain=np.array([float(m["servo_gain"]) for m in muscles]),
@@ -266,11 +272,11 @@ def _variant_from(d, idx, errors) -> Variant | None:
     if not isinstance(reflex, bool):
         errors.append(f"{p}.reflex: must be true or false")
         return None
-    dl = _num(d, "dl_stretch", p, errors, gt=0.0, default=10.0)
-    dt = _num(d, "dt_loose", p, errors, gt=0.0, default=0.5)
-    if dl is None or dt is None:
+    # unset values keep the Variant defaults
+    values = {k: _num(d, k, p, errors, gt=0.0) for k in ("dl_stretch", "dt_loose") if k in d}
+    if None in values.values():
         return None
-    return Variant(label=str(label), reflex=reflex, dl_stretch=dl, dt_loose=dt)
+    return Variant(label=str(label), reflex=reflex, **values)
 
 
 def _custom_errors(doc) -> list[str]:
@@ -279,11 +285,12 @@ def _custom_errors(doc) -> list[str]:
     theta0 = _numlist(doc, "theta0", "custom", errors)
     if theta0 is not None and not theta0:
         errors.append("custom.theta0: must not be empty")
-    _num(doc, "pretension_mm", "custom", errors, ge=0.0, default=0.0)
-    _num(doc, "time_jitter", "custom", errors, ge=0.0, default=0.0)
+    _num(doc, "pretension_mm", "custom", errors, ge=0.0, required=False)
+    _num(doc, "time_jitter", "custom", errors, ge=0.0, required=False)
 
+    # the last step starts before t == duration, so an event there never applies
     def in_range(t):
-        return duration is None or 0.0 <= t <= duration
+        return duration is None or 0.0 <= t < duration
 
     for i, imp in enumerate(doc.get("impulses", [])):
         p = f"custom.impulses[{i}]"
@@ -292,7 +299,7 @@ def _custom_errors(doc) -> list[str]:
             continue
         t = _num(imp, "t", p, errors, ge=0.0)
         if t is not None and not in_range(t):
-            errors.append(f"{p}.t: must be within [0, duration], got {t}")
+            errors.append(f"{p}.t: must be within [0, duration), got {t}")
         joint = imp.get("joint")
         if not isinstance(joint, int) or isinstance(joint, bool) or joint < 0:
             errors.append(f"{p}.joint: must be a joint index >= 0")
@@ -304,7 +311,7 @@ def _custom_errors(doc) -> list[str]:
             continue
         t = _num(pay, "t", p, errors, ge=0.0)
         if t is not None and not in_range(t):
-            errors.append(f"{p}.t: must be within [0, duration], got {t}")
+            errors.append(f"{p}.t: must be within [0, duration), got {t}")
         _num(pay, "mass", p, errors, ge=0.0)
 
     traj = doc.get("trajectory")
@@ -321,12 +328,32 @@ def _custom_errors(doc) -> list[str]:
             if (
                 not isinstance(refs, list)
                 or not refs
-                or not all(isinstance(r, list) for r in refs)
+                or not all(isinstance(r, list) and all(_is_number(x) for x in r) for r in refs)
                 or len({len(r) for r in refs}) > 1
             ):
-                errors.append("custom.trajectory.refs: must be equal-length rows, one per time")
+                errors.append(
+                    "custom.trajectory.refs: must be equal-length rows of finite numbers, one per time"
+                )
             elif times is not None and len(refs) != len(times):
                 errors.append("custom.trajectory.refs: need exactly one row per time")
+    return errors
+
+
+def _scenario_params_errors(scenario: str, params: dict) -> list[str]:
+    """Keyword arguments of the built-in's function, typed by their defaults."""
+    errors: list[str] = []
+    signature = inspect.signature(EXPERIMENT_FUNCTIONS[scenario]).parameters
+    known = [name for name in signature if name != "robot"]
+    for key, value in params.items():
+        p = f"scenario_params.{key}"
+        if key not in known:
+            errors.append(f"{p}: unknown parameter for {scenario}; known: {', '.join(known)}")
+        elif isinstance(signature[key].default, int):
+            if isinstance(value, bool) or not isinstance(value, int):
+                errors.append(f"{p}: must be an integer, got {value!r}")
+        else:
+            _num(params, key, "scenario_params", errors,
+                 ge=0.0 if key == "drop_height" else None)
     return errors
 
 
@@ -353,9 +380,8 @@ def _experiment_errors(doc, base_dir: Path) -> list[str]:
     else:
         if "enabled" in reflex and not isinstance(reflex["enabled"], bool):
             errors.append("reflex.enabled: must be true or false")
-        _num(reflex, "c_stretch", "reflex", errors, gt=0.0, default=15.0)
-        _num(reflex, "dl_stretch", "reflex", errors, gt=0.0, default=10.0)
-        _num(reflex, "dt_loose", "reflex", errors, gt=0.0, default=0.5)
+        for key in ("c_stretch", "dl_stretch", "dt_loose"):
+            _num(reflex, key, "reflex", errors, gt=0.0, required=False)
 
     fb = doc.get("feedback", {})
     if not isinstance(fb, dict):
@@ -363,8 +389,10 @@ def _experiment_errors(doc, base_dir: Path) -> list[str]:
     else:
         if "enabled" in fb and not isinstance(fb["enabled"], bool):
             errors.append("feedback.enabled: must be true or false")
-        _num(fb, "alpha", "feedback", errors, gt=0.0, le=1.0, default=0.3)
-        _num(fb, "rate_hz", "feedback", errors, gt=0.0, default=5.0)
+        _num(fb, "alpha", "feedback", errors, gt=0.0, le=1.0, required=False)
+        # at most one feedback tick per physics step
+        _num(fb, "rate_hz", "feedback", errors, gt=0.0, le=1.0 / ScenarioScript.dt,
+             required=False)
         if "theta_ref" in fb and fb["theta_ref"] is not None:
             _numlist(fb, "theta_ref", "feedback", errors)
 
@@ -379,8 +407,11 @@ def _experiment_errors(doc, base_dir: Path) -> list[str]:
                 else:
                     _variant_from(entry, i, errors)
 
-    if "scenario_params" in doc and not isinstance(doc["scenario_params"], dict):
+    params = doc.get("scenario_params", {})
+    if not isinstance(params, dict):
         errors.append("scenario_params: must be a mapping")
+    elif scenario in EXPERIMENT_FUNCTIONS:
+        errors.extend(_scenario_params_errors(scenario, params))
 
     custom = doc.get("custom")
     if scenario == "custom":
@@ -421,7 +452,7 @@ def _experiment_from_doc(doc, path: Path) -> ExperimentConfig:
     )
 
 
-def custom_scenario(cfg: ExperimentConfig, robot: Robot, seed: int | None = None) -> ScenarioScript:
+def custom_scenario(cfg: ExperimentConfig, robot: Robot) -> ScenarioScript:
     """Build the scripted scenario from a validated custom experiment config."""
     doc = cfg.custom
     theta0 = np.array(doc["theta0"], dtype=float)
@@ -463,7 +494,6 @@ def custom_scenario(cfg: ExperimentConfig, robot: Robot, seed: int | None = None
             for p in doc.get("payloads", [])
         ),
         trajectory=traj,
-        seed=seed,
         time_jitter=float(doc.get("time_jitter", 0.0)),
     )
 

@@ -20,17 +20,15 @@ __all__ = [
     "FeedbackParams",
     "FeedbackState",
     "feedback_update",
-    "refs_from_virtual",
-    "hold_posture_refs",
     "loaded_hold_refs",
 ]
 
 
 @dataclass(frozen=True)
 class FeedbackParams:
+    theta_ref: np.ndarray  # rad, per joint
     alpha: float = 0.3
     rate_hz: float = 5.0
-    theta_ref: np.ndarray = None  # rad, per joint
 
 
 @dataclass(frozen=True)
@@ -48,16 +46,6 @@ def feedback_update(
     """One feedback tick; the engine is responsible for the 1/rate cadence."""
     tv = state.theta_virtual + params.alpha * (params.theta_ref - np.asarray(theta_meas))
     return replace(state, theta_virtual=tv)
-
-
-def refs_from_virtual(theta_virtual: np.ndarray, model: ArmModel) -> np.ndarray:
-    """Commanded reference lengths for a virtual target posture (mm)."""
-    return muscle_lengths_from_joints(theta_virtual, model)
-
-
-def hold_posture_refs(theta_target: np.ndarray, model: ArmModel) -> np.ndarray:
-    """One-shot reference lengths that hold a fixed posture (mm)."""
-    return muscle_lengths_from_joints(theta_target, model)
 
 
 def loaded_hold_refs(

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arm import ArmModel
-from .control import FeedbackParams, hold_posture_refs, loaded_hold_refs
+from .arm import muscle_lengths_from_joints
+from .control import FeedbackParams, loaded_hold_refs
 from .metrics import AnalysisParams
 from .reflex import ReflexParams
 from .robot import Robot
@@ -37,13 +37,11 @@ __all__ = [
     "Variant",
     "ExperimentDef",
     "builtin_experiments",
-    "builtin_scenarios",
     "drop_impulses",
     "PRETENSION_MM",
     "EXPERIMENT_NAMES",
+    "EXPERIMENT_FUNCTIONS",
 ]
-
-EXPERIMENT_NAMES = ("e1", "e2", "e3", "e4")
 
 # co-contraction: refs are shortened by this much, giving every muscle a
 # working tension well above slack so the trigger threshold is reachable
@@ -76,8 +74,8 @@ class Variant:
 
     label: str
     reflex: bool
-    dl_stretch: float = 10.0
-    dt_loose: float = 0.5
+    dl_stretch: float = ReflexParams.dl_stretch
+    dt_loose: float = ReflexParams.dt_loose
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ class ExperimentDef:
     analysis: AnalysisParams
     default_variant: Variant
     paper_sweep: tuple[Variant, ...]
-    c_stretch: float = 15.0
+    c_stretch: float = ReflexParams.c_stretch
 
     def reflex_params(self, variant: Variant, groups: tuple[tuple[int, ...], ...]) -> ReflexParams | None:
         if not variant.reflex:
@@ -208,7 +206,7 @@ def e3_experiment(
     return ExperimentDef(
         name="e3",
         scenario=scenario,
-        feedback=FeedbackParams(alpha=0.3, rate_hz=5.0, theta_ref=theta0.copy()),
+        feedback=FeedbackParams(theta_ref=theta0.copy()),
         analysis=AnalysisParams(
             theta_ref=tuple(float(v) for v in theta0),
             conv_joint=1,
@@ -234,7 +232,7 @@ def e4_experiment(
 ) -> ExperimentDef:
     theta_start = np.array([0.0, -0.3])
     theta_end = np.array([0.0, THETA_BENT])
-    refs_start = hold_posture_refs(theta_start, robot.model)
+    refs_start = muscle_lengths_from_joints(theta_start, robot.model)
     # the lift must END on load-bearing references, otherwise the loaded arm
     # has no static support and slides off the posture after every release;
     # trajectory points are stored before the engine subtracts the pretension
@@ -276,6 +274,13 @@ def e4_experiment(
     )
 
 
+# the function behind each built-in; a config's scenario_params are its keyword arguments
+EXPERIMENT_FUNCTIONS = {
+    "e1": e1_experiment, "e2": e2_experiment, "e3": e3_experiment, "e4": e4_experiment,
+}
+EXPERIMENT_NAMES = tuple(EXPERIMENT_FUNCTIONS)
+
+
 def builtin_experiments(robot: Robot, **overrides) -> dict[str, ExperimentDef]:
     """All four experiments keyed by name.
 
@@ -288,8 +293,3 @@ def builtin_experiments(robot: Robot, **overrides) -> dict[str, ExperimentDef]:
         "e3": e3_experiment(robot, **overrides.get("e3", {})),
         "e4": e4_experiment(robot, **overrides.get("e4", {})),
     }
-
-
-def builtin_scenarios(robot: Robot) -> dict[str, ScenarioScript]:
-    """The four scenario scripts alone, without controller settings."""
-    return {name: ex.scenario for name, ex in builtin_experiments(robot).items()}

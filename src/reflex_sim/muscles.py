@@ -37,14 +37,12 @@ class MuscleParams:
     """Static per-muscle constants.
 
     k           spring steepness, 1/mm
-    l0          muscle path length at the zero joint posture, mm
     f_max       tension clamp, N
     motor_vmax  motor winding speed limit, mm/s
     servo_gain  proportional gain of the length servo, 1/s
     """
 
     k: float | np.ndarray
-    l0: float | np.ndarray
     f_max: float | np.ndarray = 400.0
     motor_vmax: float | np.ndarray = 200.0
     servo_gain: float | np.ndarray = 20.0

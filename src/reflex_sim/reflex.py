@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ReflexParams", "ReflexState", "detect", "update", "effective_ref"]
+__all__ = ["ReflexParams", "ReflexState", "update", "effective_ref"]
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,6 @@ class ReflexState:
         )
 
 
-def detect(f_prev: float, f_now: float, params: ReflexParams) -> bool:
-    """Trigger predicate: tension rose by strictly more than c_stretch."""
-    return bool(f_now - f_prev > params.c_stretch)
-
-
 def _group_index(params: ReflexParams, n_muscles: int) -> np.ndarray:
     idx = np.zeros(n_muscles, dtype=int)
     for gi, members in enumerate(params.groups):
@@ -79,13 +74,13 @@ def update(
     tensions_prev: np.ndarray,
     tensions_now: np.ndarray,
     t: float,
-    dt_tick: float,
     params: ReflexParams,
 ) -> tuple[ReflexState, np.ndarray, list[tuple[int, float]]]:
     """One control tick; returns (new state, offsets in mm, fire events).
 
     ``tensions_prev``/``tensions_now`` are the tick samples the trigger
-    compares.  Ticks must advance strictly in time.
+    compares: a muscle fires when its tension rose by strictly more than
+    ``c_stretch``.  Ticks must advance strictly in time.
     """
     if not t > state.last_t:
         raise ValueError(f"control ticks must advance: t={t} after last_t={state.last_t}")

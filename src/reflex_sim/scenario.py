@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arm import ArmState, apply_impulse, joint_torques, muscle_lengths_from_joints, step_dynamics
-from .control import FeedbackParams, FeedbackState, feedback_update, hold_posture_refs, refs_from_virtual
+from .control import FeedbackParams, FeedbackState, feedback_update
 from .errors import SimulationDiverged
 from .muscles import MuscleUnit, step_motor, update_tension
 from .reflex import ReflexParams, ReflexState, effective_ref
@@ -130,7 +130,7 @@ def run(
 
     theta0 = np.asarray(scenario.theta0, dtype=float)
     state = ArmState(theta=theta0.copy(), omega=np.zeros(n), payload_mass=scenario.initial_payload)
-    refs_base = hold_posture_refs(theta0, model)
+    refs_base = muscle_lengths_from_joints(theta0, model)
     pre = scenario.pretension_mm
 
     unit = MuscleUnit(
@@ -189,7 +189,7 @@ def run(
 
         if fb_state is not None and s % fb_every == 0:
             fb_state = feedback_update(fb_state, state.theta, feedback)
-            refs_base = refs_from_virtual(fb_state.theta_virtual, model)
+            refs_base = muscle_lengths_from_joints(fb_state.theta_virtual, model)
         if scenario.trajectory is not None and t >= scenario.trajectory.times[0] - 1e-12:
             refs_base = scenario.trajectory.eval(t)
 
@@ -197,9 +197,7 @@ def run(
 
         if s % control_every == 0:
             if rx_state is not None:
-                rx_state, offsets, fired_now = reflex_update(
-                    rx_state, unit.f_prev, unit.f, t, control_every * dt, reflex
-                )
+                rx_state, offsets, fired_now = reflex_update(rx_state, unit.f_prev, unit.f, t, reflex)
                 for j, tf in fired_now:
                     FIRED[s, j] = 1
                 reflex_events.extend(fired_now)
@@ -210,7 +208,7 @@ def run(
 
         tau = joint_torques(unit.f, model)
         try:
-            new_state, limit_force = step_dynamics(state, tau, np.zeros(n), dt, model)
+            new_state, limit_force = step_dynamics(state, tau, dt, model)
         except SimulationDiverged as e:
             raise SimulationDiverged(str(e), tick=s) from None
 

@@ -104,7 +104,7 @@ def _random_stream(rng: np.random.Generator, n_ticks: int, n_muscles: int) -> np
 def test_criterion_5_reflex_oracle():
     n_streams, n_ticks, n_muscles = 1000, 40, 4
     groups = ((0, 1), (2, 3))
-    dt_tick = 0.01
+    tick = 0.01
     total_events = 0
     mismatches = 0
 
@@ -117,14 +117,14 @@ def test_criterion_5_reflex_oracle():
             dt_loose=float(rng.choice((0.2, 0.35, 0.5))),
             groups=groups,
         )
-        times = [(i + 1) * dt_tick for i in range(n_ticks)]
+        times = [(i + 1) * tick for i in range(n_ticks)]
 
         state = ReflexState.initial(n_muscles, len(groups))
         got_events: list[tuple[int, float]] = []
         got_offsets = []
         for i, t in enumerate(times):
             prev = stream[i - 1] if i > 0 else stream[0]
-            state, offsets, fired = reflex_update(state, prev, stream[i], t, dt_tick, params)
+            state, offsets, fired = reflex_update(state, prev, stream[i], t, params)
             got_events.extend(fired)
             got_offsets.append(list(offsets))
 
@@ -166,16 +166,14 @@ def test_criterion_6_closed_forms():
     # release ramp: after one fire the offset is exactly linear in time
     params = ReflexParams(c_stretch=15.0, dl_stretch=12.0, dt_loose=0.4, groups=((0,),))
     state = ReflexState.initial(1, 1)
-    dt_tick = 0.01
-    t_fire = dt_tick
-    state, offsets, fired = reflex_update(
-        state, np.array([100.0]), np.array([140.0]), t_fire, dt_tick, params
-    )
+    tick = 0.01
+    t_fire = tick
+    state, offsets, fired = reflex_update(state, np.array([100.0]), np.array([140.0]), t_fire, params)
     worst_lin = abs(float(offsets[0]) - params.dl_stretch)  # snaps to dl at the fire tick
     flat = np.array([140.0])
     for i in range(2, 60):
-        t = i * dt_tick
-        state, offsets, _ = reflex_update(state, flat, flat, t, dt_tick, params)
+        t = i * tick
+        state, offsets, _ = reflex_update(state, flat, flat, t, params)
         expect = (
             params.dl_stretch * (1.0 - (t - t_fire) / params.dt_loose)
             if t < t_fire + params.dt_loose

@@ -255,7 +255,7 @@ def test_step_above_static_friction_frozen_value() -> None:
     # I=0.05, net 0.5 N*m against 0.2 N*m friction, 1 ms step
     m = _single_joint_model()
     s = ArmState(theta=np.zeros(1), omega=np.zeros(1))
-    s2, _ = step_dynamics(s, np.array([0.5]), np.zeros(1), 1e-3, m)
+    s2, _ = step_dynamics(s, np.array([0.5]), 1e-3, m)
     assert s2.omega[0] == pytest.approx(0.006, rel=1e-12)
     assert s2.theta[0] == pytest.approx(6e-6, rel=1e-12)
 
@@ -263,7 +263,7 @@ def test_step_above_static_friction_frozen_value() -> None:
 def test_sub_static_torque_holds_joint() -> None:
     m = _single_joint_model()
     s = ArmState(theta=np.zeros(1), omega=np.zeros(1))
-    s2, _ = step_dynamics(s, np.array([0.1]), np.zeros(1), 1e-3, m)
+    s2, _ = step_dynamics(s, np.array([0.1]), 1e-3, m)
     assert s2.omega[0] == 0.0 and s2.theta[0] == 0.0
 
 
@@ -271,7 +271,7 @@ def test_stiction_holds_for_ten_thousand_steps() -> None:
     m = _single_joint_model(mu_static=0.3, mu_kinetic=0.2)
     s = ArmState(theta=np.array([0.123]), omega=np.zeros(1))
     for _ in range(10_000):
-        s, _ = step_dynamics(s, np.array([0.29]), np.zeros(1), 1e-3, m)
+        s, _ = step_dynamics(s, np.array([0.29]), 1e-3, m)
     assert s.theta[0] == 0.123 and s.omega[0] == 0.0
 
 
@@ -280,7 +280,7 @@ def test_kinetic_energy_non_increasing_under_friction_only() -> None:
     s = ArmState(theta=np.zeros(1), omega=np.array([2.0]))
     ke_prev = 0.5 * 0.05 * 4.0
     for _ in range(3000):
-        s, _ = step_dynamics(s, np.zeros(1), np.zeros(1), 1e-3, m)
+        s, _ = step_dynamics(s, np.zeros(1), 1e-3, m)
         ke = 0.5 * 0.05 * float(s.omega[0]) ** 2
         assert ke <= ke_prev + 1e-15
         ke_prev = ke
@@ -290,7 +290,7 @@ def test_kinetic_energy_non_increasing_under_friction_only() -> None:
 def test_friction_never_reverses_velocity_in_one_step() -> None:
     m = _single_joint_model(mu_kinetic=50.0, mu_static=50.0, stiction_band=0.0)
     s = ArmState(theta=np.zeros(1), omega=np.array([0.001]))
-    s2, _ = step_dynamics(s, np.zeros(1), np.zeros(1), 1e-3, m)
+    s2, _ = step_dynamics(s, np.zeros(1), 1e-3, m)
     assert s2.omega[0] == 0.0  # stops, does not flip sign
 
 
@@ -306,7 +306,7 @@ def test_limit_penetration_bounded_for_hard_impact() -> None:
     s = ArmState(theta=np.array([-0.01]), omega=np.array([3.0]))
     worst = -np.inf
     for _ in range(2000):
-        s, _ = step_dynamics(s, np.zeros(1), np.zeros(1), 1e-3, m)
+        s, _ = step_dynamics(s, np.zeros(1), 1e-3, m)
         worst = max(worst, float(s.theta[0]))
     assert worst <= 0.05
 
@@ -315,4 +315,4 @@ def test_non_finite_torque_is_fatal() -> None:
     m = _single_joint_model()
     s = ArmState(theta=np.zeros(1), omega=np.zeros(1))
     with pytest.raises(SimulationDiverged):
-        step_dynamics(s, np.array([np.nan]), np.zeros(1), 1e-3, m)
+        step_dynamics(s, np.array([np.nan]), 1e-3, m)

@@ -146,6 +146,151 @@ def test_divergence_exits_3(tmp_path, capsys):
     assert "tick" in capsys.readouterr().err
 
 
+# ---- override precedence ----
+#
+# The rule: the config file sets every value, --reflex/--feedback only switch
+# a layer on or off, --seed sets the seed.  Each row records what reaches the
+# engine; a stub engine stops the command before any physics runs.
+
+E3_THETA0 = (0.0, -1.57)
+E3_REFLEX = (15.0, 5.0, 5.0)  # c_stretch, dl_stretch, dt_loose of e3's default variant
+E3_FEEDBACK = (0.3, 5.0, E3_THETA0)  # alpha, rate_hz, theta_ref
+
+
+class EngineReached(Exception):
+    """Raised by the stub engine once it has recorded its inputs."""
+
+
+PRECEDENCE = [
+    pytest.param("custom", {"reflex": {"enabled": True, "c_stretch": 20.0, "dl_stretch": 5.0,
+                                       "dt_loose": 1.0}},
+                 [], (20.0, 5.0, 1.0), None, None, id="custom-config-sets-reflex"),
+    pytest.param("custom", {"reflex": {"enabled": True, "dl_stretch": 5.0}},
+                 ["--reflex", "off"], None, None, None, id="custom-flag-switches-reflex-off"),
+    pytest.param("custom", {"reflex": {"enabled": False, "dl_stretch": 5.0}},
+                 ["--reflex", "on"], (15.0, 5.0, 0.5), None, None,
+                 id="custom-flag-on-keeps-config-values"),
+    pytest.param("custom", {}, [], None, None, None, id="custom-defaults-reflex-off"),
+    pytest.param("custom", {}, ["--reflex", "on"], (15.0, 10.0, 0.5), None, None,
+                 id="custom-flag-on-defaults"),
+    pytest.param("custom", {"feedback": {"enabled": True, "alpha": 0.9, "rate_hz": 10.0,
+                                         "theta_ref": [0.1, -0.9]}},
+                 [], None, (0.9, 10.0, (0.1, -0.9)), None, id="custom-config-sets-feedback"),
+    pytest.param("custom", {"feedback": {"enabled": True, "alpha": 0.9}},
+                 ["--feedback", "off"], None, None, None, id="custom-flag-switches-feedback-off"),
+    pytest.param("custom", {}, ["--feedback", "on"], None, (0.3, 5.0, (0.0, -1.0)), None,
+                 id="custom-feedback-on-defaults"),
+    pytest.param("custom", {}, ["--seed", "7"], None, None, 7, id="custom-seed"),
+    pytest.param("e3", None, [], E3_REFLEX, E3_FEEDBACK, None, id="e3-builtin"),
+    pytest.param("e3", None, ["--reflex", "off", "--feedback", "off"], None, None, None,
+                 id="e3-flags-switch-off"),
+    pytest.param("e3", {"reflex": {"c_stretch": 20.0, "dl_stretch": 8.0},
+                        "feedback": {"alpha": 0.5, "theta_ref": [0.0, -1.5]}},
+                 [], (20.0, 8.0, 5.0), (0.5, 5.0, (0.0, -1.5)), None, id="e3-config-sets-values"),
+    pytest.param("e3", {"reflex": {"enabled": False}, "feedback": {"enabled": False}},
+                 [], None, None, None, id="e3-config-switches-off"),
+    pytest.param("e3", {"reflex": {"enabled": False, "dt_loose": 2.0}},
+                 ["--reflex", "on"], (15.0, 5.0, 2.0), E3_FEEDBACK, None,
+                 id="e3-flag-on-keeps-config-reflex"),
+    pytest.param("e3", {"feedback": {"enabled": False, "alpha": 0.9}},
+                 ["--feedback", "on"], E3_REFLEX, (0.9, 5.0, E3_THETA0), None,
+                 id="e3-flag-on-keeps-config-feedback"),
+    pytest.param("e3", {"reflex": {"enabled": True}, "feedback": {"enabled": True}},
+                 ["--reflex", "off", "--feedback", "off", "--seed", "3"], None, None, 3,
+                 id="e3-flags-beat-config-switches"),
+    pytest.param("e1", None, ["--feedback", "on"], (15.0, 10.0, 0.5), (0.3, 5.0, (0.0, -0.03)),
+                 None, id="e1-feedback-on-defaults"),
+]
+
+
+@pytest.fixture
+def engine_inputs(monkeypatch):
+    """What the CLI hands the engine; the stub engine raises EngineReached."""
+    import reflex_sim.acceptance
+
+    seen = {}
+
+    def engine(scenario, robot, reflex=None, feedback=None):
+        seen.update(scenario=scenario, reflex=reflex, feedback=feedback)
+        raise EngineReached
+
+    monkeypatch.setattr(reflex_sim.acceptance, "run", engine)
+    return seen
+
+
+@pytest.mark.parametrize("exp, sections, flags, reflex, feedback, seed", PRECEDENCE)
+def test_override_precedence(tmp_path, engine_inputs, exp, sections, flags, reflex, feedback, seed):
+    argv = ["run", exp, "--out", str(tmp_path / "out")] + flags
+    if sections is not None:
+        doc = mini_doc() if exp == "custom" else {
+            "schema_version": 1, "kind": "experiment", "scenario": exp,
+        }
+        doc.pop("reflex", None)
+        doc.update(sections)
+        argv += ["--config", str(write_yaml(tmp_path / "cfg.yaml", doc))]
+    with pytest.raises(EngineReached):
+        main(argv)
+
+    rx, fb = engine_inputs["reflex"], engine_inputs["feedback"]
+    assert (rx and (rx.c_stretch, rx.dl_stretch, rx.dt_loose)) == reflex
+    assert (fb and (fb.alpha, fb.rate_hz, tuple(fb.theta_ref))) == feedback
+    assert engine_inputs["scenario"].seed == seed
+
+
+def test_scenario_params_reach_the_builtin(tmp_path, engine_inputs):
+    doc = {"schema_version": 1, "kind": "experiment", "scenario": "e1",
+           "scenario_params": {"impact_domega": 2.5, "n_impacts": 2}}
+    cfg = write_yaml(tmp_path / "e1.yaml", doc)
+    assert main(["validate", str(cfg)]) == 0
+    with pytest.raises(EngineReached):
+        main(["run", "e1", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    impulses = engine_inputs["scenario"].impulses
+    assert [imp.delta_omega for imp in impulses] == [2.5, 2.5]
+
+
+def _builtin_doc(scenario, **params):
+    return {"schema_version": 1, "kind": "experiment", "scenario": scenario,
+            "scenario_params": params}
+
+
+def _custom_doc(section, key, value):
+    doc = mini_doc()
+    doc.setdefault(section, {})[key] = value
+    return doc
+
+
+# configs that validate once accepted and run then ended in a traceback
+RUN_CRASHERS = [
+    pytest.param("custom", _custom_doc("feedback", "rate_hz", 5000.0), "feedback.rate_hz",
+                 id="feedback-rate-above-physics-rate"),
+    pytest.param("custom", _custom_doc("custom", "duration", float("inf")), "custom.duration",
+                 id="infinite-duration"),
+    pytest.param("e1", _builtin_doc("e1", n_impacts=2.5), "scenario_params.n_impacts",
+                 id="fractional-impact-count"),
+    pytest.param("e3", _builtin_doc("e3", drop_height=-1.0), "scenario_params.drop_height",
+                 id="negative-drop-height"),
+    pytest.param("e3", _builtin_doc("e3", drop_heigth=0.1), "scenario_params.drop_heigth",
+                 id="unknown-scenario-param"),
+]
+
+
+@pytest.mark.parametrize("exp, doc, field", RUN_CRASHERS)
+def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, exp, doc, field):
+    cfg = write_yaml(tmp_path / "bad.yaml", doc)
+    assert main(["validate", str(cfg)]) == 2
+    assert field in capsys.readouterr().err
+    assert main(["run", exp, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_theta_ref_arity_checked_against_robot(tmp_path, capsys):
+    cfg = write_yaml(tmp_path / "e3.yaml", {"schema_version": 1, "kind": "experiment",
+                                            "scenario": "e3", "feedback": {"theta_ref": [0.0]}})
+    assert main(["run", "e3", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "feedback.theta_ref" in capsys.readouterr().err
+
+
 def test_check_on_custom_exits_2(tmp_path, mini_cfg, capsys):
     rc = main(
         ["run", "custom", "--config", str(mini_cfg), "--check", "--out", str(tmp_path / "out")]
@@ -199,24 +344,6 @@ def test_sweep_unknown_name_exits_2(tmp_path, mini_cfg, capsys):
     )
     assert rc == 2
     assert "nope" in capsys.readouterr().err
-
-
-def test_thread_cap_env(tmp_path, mini_cfg, monkeypatch):
-    monkeypatch.setenv("REFLEX_SIM_THREADS", "1")
-    rc = main(
-        ["run", "custom", "--config", str(mini_cfg), "--sweep", "paper", "--out", str(tmp_path / "a")]
-    )
-    assert rc == 0
-
-
-@pytest.mark.parametrize("bad", ["0", "-2", "many"])
-def test_thread_cap_env_invalid_exits_2(tmp_path, mini_cfg, monkeypatch, capsys, bad):
-    monkeypatch.setenv("REFLEX_SIM_THREADS", bad)
-    rc = main(
-        ["run", "custom", "--config", str(mini_cfg), "--sweep", "paper", "--out", str(tmp_path / "a")]
-    )
-    assert rc == 2
-    assert "REFLEX_SIM_THREADS" in capsys.readouterr().err
 
 
 # ---- validate ----

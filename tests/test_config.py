@@ -225,6 +225,85 @@ class TestExperimentValidation:
         assert any("sweep[0].dt_loose" in e for e in errs)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _set(doc, path, value):
+    """Set doc[path[0]][path[1]]...; integer steps index into lists."""
+    *head, last = path
+    for step in head:
+        doc = doc[step]
+    doc[last] = value
+
+
+# (path into _experiment_dict(), value, field path the error names)
+REJECTED_EXPERIMENT_VALUES = [
+    pytest.param(("feedback", "rate_hz"), 5000.0, "feedback.rate_hz", id="rate-above-physics-rate"),
+    pytest.param(("feedback", "alpha"), NAN, "feedback.alpha", id="nan-alpha"),
+    pytest.param(("feedback", "theta_ref"), [0.0, NAN], "feedback.theta_ref", id="nan-theta-ref"),
+    pytest.param(("reflex", "dl_stretch"), NAN, "reflex.dl_stretch", id="nan-dl-stretch"),
+    pytest.param(("custom", "duration"), INF, "custom.duration", id="infinite-duration"),
+    pytest.param(("custom", "duration"), NAN, "custom.duration", id="nan-duration"),
+    pytest.param(("custom", "theta0"), [0.0, NAN], "custom.theta0", id="nan-theta0"),
+    pytest.param(("custom", "impulses", 0, "delta_omega"), NAN, "custom.impulses[0].delta_omega",
+                 id="nan-impulse"),
+    pytest.param(("custom", "impulses", 0, "t"), 2.0, "custom.impulses[0].t",
+                 id="impulse-at-duration"),
+    pytest.param(("custom", "payloads", 0, "t"), 2.0, "custom.payloads[0].t",
+                 id="payload-at-duration"),
+    pytest.param(("custom", "trajectory"), {"times": [0.0, 1.0], "refs": [[1.0] * 4, [NAN] * 4]},
+                 "custom.trajectory.refs", id="nan-trajectory-ref"),
+]
+
+
+@pytest.mark.parametrize("path, value, field", REJECTED_EXPERIMENT_VALUES)
+def test_rejected_experiment_values_name_the_field(tmp_path, path, value, field):
+    d = _experiment_dict()
+    _set(d, path, value)
+    errs = validate_file(_write(tmp_path, "e.yaml", d))
+    assert any(e.startswith(field + ":") for e in errs), errs
+
+
+def test_events_just_before_the_end_are_accepted(tmp_path):
+    d = _experiment_dict()
+    d["custom"]["impulses"][0]["t"] = 1.999
+    d["custom"]["payloads"][0]["t"] = 1.999
+    assert validate_file(_write(tmp_path, "e.yaml", d)) == []
+
+
+@pytest.mark.parametrize("scenario, params, field", [
+    ("e1", {"impact_force": 2.0}, "scenario_params.impact_force"),
+    ("e1", {"n_impacts": 2.5}, "scenario_params.n_impacts"),
+    ("e2", {"impact_domega": "hard"}, "scenario_params.impact_domega"),
+    ("e3", {"drop_height": -1.0}, "scenario_params.drop_height"),
+    ("e4", {"robot": 1.0}, "scenario_params.robot"),
+    ("e4", {"payload": NAN}, "scenario_params.payload"),
+])
+def test_scenario_params_checked_against_the_experiment(tmp_path, scenario, params, field):
+    d = {"schema_version": 1, "kind": "experiment", "scenario": scenario,
+         "scenario_params": params}
+    errs = validate_file(_write(tmp_path, "e.yaml", d))
+    assert [e.split(":")[0] for e in errs] == [field]
+
+
+def test_known_scenario_params_validate(tmp_path):
+    d = {"schema_version": 1, "kind": "experiment", "scenario": "e3",
+         "scenario_params": {"drop_mass": 5.0, "drop_height": 0.0, "t_drop": 2}}
+    assert validate_file(_write(tmp_path, "e.yaml", d)) == []
+
+
+def test_robot_rejects_nan_but_allows_infinite_limits(tmp_path):
+    d = _robot_dict()
+    d["joints"][0]["limit_lo"] = -INF
+    d["joints"][0]["limit_hi"] = INF
+    assert validate_file(_write(tmp_path, "r.yaml", d)) == []
+    d["joints"][0]["limit_hi"] = NAN
+    d["joints"][1]["damping"] = NAN
+    errs = validate_file(_write(tmp_path, "r2.yaml", d))
+    assert any(e.startswith("joints[0].limit_hi:") for e in errs)
+    assert any(e.startswith("joints[1].damping:") for e in errs)
+
+
 class TestFileLevelErrors:
     def test_missing_file(self, tmp_path):
         errs = validate_file(str(tmp_path / "none.yaml"))

@@ -3,13 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reflex_sim.arm import ArmModel, ArmState, JointParams, LinkParams
+from reflex_sim.arm import ArmModel, ArmState, JointParams, LinkParams, muscle_lengths_from_joints
 from reflex_sim.control import (
     FeedbackParams,
     FeedbackState,
     feedback_update,
-    hold_posture_refs,
-    refs_from_virtual,
 )
 
 
@@ -73,11 +71,7 @@ def test_update_is_pure() -> None:
     assert s0.theta_virtual[0] == 1.0
 
 
-def test_refs_from_virtual_is_the_length_map() -> None:
-    refs = refs_from_virtual(np.array([-1.57]), _model())
+def test_virtual_posture_refs_are_the_length_map() -> None:
+    # the engine commands the length map at the virtual target posture
+    refs = muscle_lengths_from_joints(np.array([-1.57]), _model())
     assert refs[0] == pytest.approx(250.0 + 31.4, rel=1e-12)
-
-
-def test_hold_posture_refs_matches_length_map() -> None:
-    m = _model()
-    assert np.array_equal(hold_posture_refs(np.array([0.7]), m), refs_from_virtual(np.array([0.7]), m))

@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from reflex_sim.config import default_robot
-from reflex_sim.control import hold_posture_refs, loaded_hold_refs
-from reflex_sim.experiments import (
-    builtin_experiments,
-    builtin_scenarios,
-    drop_impulses,
-)
+from reflex_sim.arm import muscle_lengths_from_joints
+from reflex_sim.control import loaded_hold_refs
+from reflex_sim.experiments import builtin_experiments, drop_impulses
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +121,7 @@ class TestE4:
         assert sc.initial_payload == 2.0
         traj = sc.trajectory
         assert traj.times == (1.0, 7.0, 7.4, 7.65)
-        start = hold_posture_refs(sc.theta0, robot.model)
+        start = muscle_lengths_from_joints(sc.theta0, robot.model)
         assert np.allclose(traj.refs[0], start, atol=1e-12)
         # the lift ends on load-bearing references so the loaded arm has
         # static support at the target posture
@@ -155,10 +152,9 @@ class TestCatalog:
     def test_names(self, experiments):
         assert sorted(experiments) == ["e1", "e2", "e3", "e4"]
 
-    def test_scenarios_view(self, robot):
-        scs = builtin_scenarios(robot)
-        assert sorted(scs) == ["e1", "e2", "e3", "e4"]
-        assert all(scs[k].name == k for k in scs)
+    def test_scenarios_view(self, experiments):
+        names = {name: exp.scenario.name for name, exp in experiments.items()}
+        assert names == {"e1": "e1", "e2": "e2", "e3": "e3", "e4": "e4"}
 
     def test_scenario_param_overrides(self, robot):
         exps = builtin_experiments(robot, e1={"impact_domega": 2.5}, e3={"drop_mass": 5.0})

@@ -18,7 +18,7 @@ from reflex_sim.muscles import (
 
 
 def _params(**kw) -> MuscleParams:
-    base = dict(k=0.5, l0=250.0, f_max=400.0, motor_vmax=200.0, servo_gain=20.0)
+    base = dict(k=0.5, f_max=400.0, motor_vmax=200.0, servo_gain=20.0)
     base.update(kw)
     return MuscleParams(**base)
 
@@ -157,7 +157,6 @@ def test_vectorized_unit_matches_scalar_units() -> None:
     # the ops accept array-valued state so the engine can batch all muscles
     p = MuscleParams(
         k=np.array([0.5, 0.4]),
-        l0=np.array([250.0, 300.0]),
         f_max=np.array([400.0, 400.0]),
         motor_vmax=np.array([200.0, 300.0]),
         servo_gain=np.array([20.0, 30.0]),
@@ -169,7 +168,7 @@ def test_vectorized_unit_matches_scalar_units() -> None:
     s0 = step_motor(_unit(100.0), effective_ref=90.0, dt=1e-3)
     s0 = update_tension(s0, geo_length=110.0)
     s1 = step_motor(
-        _unit(200.0, k=0.4, l0=300.0, motor_vmax=300.0, servo_gain=30.0),
+        _unit(200.0, k=0.4, motor_vmax=300.0, servo_gain=30.0),
         effective_ref=199.9,
         dt=1e-3,
     )

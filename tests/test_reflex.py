@@ -9,7 +9,6 @@ from reflex_reference import replay
 from reflex_sim.reflex import (
     ReflexParams,
     ReflexState,
-    detect,
     effective_ref,
     update,
 )
@@ -35,10 +34,11 @@ def _spike(*muscles: int, base: float = 40.0, jump: float = 30.0, n: int = 4) ->
 
 
 def test_detect_strictly_above_threshold() -> None:
-    p = _params()
-    assert detect(50.0, 66.0, p) is True
-    assert detect(50.0, 65.0, p) is False  # delta == 15 exactly: no fire
-    assert detect(50.0, 30.0, p) is False  # release never triggers
+    p = _params(groups=((0,), (1,), (2,)))
+    prev = np.array([50.0, 50.0, 50.0])
+    now = np.array([66.0, 65.0, 30.0])  # rise 16, exactly 15 (no fire), a release
+    _, _, ev = update(ReflexState.initial(3), prev, now, t=1.0, params=p)
+    assert ev == [(0, 1.0)]
 
 
 # ---- firing and the loosening ramp ----
@@ -47,27 +47,27 @@ def test_detect_strictly_above_threshold() -> None:
 def test_fire_sets_full_offset_then_ramps_linearly() -> None:
     p = _params()
     s = ReflexState.initial(4)
-    s, off, ev = update(s, _quiet(), _spike(2), t=1.0, dt_tick=0.01, params=p)
+    s, off, ev = update(s, _quiet(), _spike(2), t=1.0, params=p)
     assert ev == [(2, 1.0)]
     assert off[2] == 10.0 and np.all(off[[0, 1, 3]] == 0.0)
 
-    s, off, ev = update(s, _spike(2), _spike(2), t=1.25, dt_tick=0.01, params=p)
+    s, off, ev = update(s, _spike(2), _spike(2), t=1.25, params=p)
     assert ev == []
     assert off[2] == pytest.approx(5.0, abs=1e-12)
 
-    s, off, ev = update(s, _spike(2), _spike(2), t=1.5, dt_tick=0.01, params=p)
+    s, off, ev = update(s, _spike(2), _spike(2), t=1.5, params=p)
     assert off[2] == 0.0  # ramp complete, muscle Idle again
 
 
 def test_offsets_never_negative_and_ramp_is_linear() -> None:
     p = _params()
     s = ReflexState.initial(4)
-    s, _, _ = update(s, _quiet(), _spike(0), t=0.0, dt_tick=0.01, params=p)
+    s, _, _ = update(s, _quiet(), _spike(0), t=0.0, params=p)
     t = 0.0
     prev = 10.0
     while t < 0.6:
         t = round(t + 0.01, 10)
-        s, off, _ = update(s, _quiet(), _quiet(), t=t, dt_tick=0.01, params=p)
+        s, off, _ = update(s, _quiet(), _quiet(), t=t, params=p)
         assert off[0] >= 0.0
         if t < 0.5:
             assert off[0] == pytest.approx(10.0 * (1 - t / 0.5), abs=1e-9)
@@ -80,13 +80,13 @@ def test_offsets_never_negative_and_ramp_is_linear() -> None:
 def test_fired_muscle_cannot_refire_until_idle() -> None:
     p = _params()
     s = ReflexState.initial(4)
-    s, _, ev = update(s, _quiet(), _spike(2), t=1.0, dt_tick=0.01, params=p)
+    s, _, ev = update(s, _quiet(), _spike(2), t=1.0, params=p)
     assert len(ev) == 1
     # keeps spiking during its own loosening window: ignored
-    s, _, ev = update(s, _quiet(), _spike(2), t=1.2, dt_tick=0.01, params=p)
+    s, _, ev = update(s, _quiet(), _spike(2), t=1.2, params=p)
     assert ev == []
     # at exactly t_fired + dt_loose the muscle is Idle and may fire again
-    s, off, ev = update(s, _quiet(), _spike(2), t=1.5, dt_tick=0.01, params=p)
+    s, off, ev = update(s, _quiet(), _spike(2), t=1.5, params=p)
     assert ev == [(2, 1.5)] and off[2] == 10.0
 
 
@@ -96,23 +96,23 @@ def test_fired_muscle_cannot_refire_until_idle() -> None:
 def test_group_mate_suppressed_during_window() -> None:
     p = _params()
     s = ReflexState.initial(4)
-    s, _, _ = update(s, _quiet(), _spike(2), t=1.0, dt_tick=0.01, params=p)
-    s, off, ev = update(s, _quiet(), _spike(3), t=1.01, dt_tick=0.01, params=p)
+    s, _, _ = update(s, _quiet(), _spike(2), t=1.0, params=p)
+    s, off, ev = update(s, _quiet(), _spike(3), t=1.01, params=p)
     assert ev == [] and off[3] == 0.0
 
 
 def test_other_group_unaffected() -> None:
     p = _params()
     s = ReflexState.initial(4)
-    s, _, _ = update(s, _quiet(), _spike(2), t=1.0, dt_tick=0.01, params=p)
-    s, off, ev = update(s, _quiet(), _spike(0), t=1.01, dt_tick=0.01, params=p)
+    s, _, _ = update(s, _quiet(), _spike(2), t=1.0, params=p)
+    s, off, ev = update(s, _quiet(), _spike(0), t=1.01, params=p)
     assert ev == [(0, 1.01)] and off[0] == 10.0
 
 
 def test_same_tick_cofiring_within_group_allowed() -> None:
     p = _params()
     s = ReflexState.initial(4)
-    s, off, ev = update(s, _quiet(), _spike(2, 3), t=1.0, dt_tick=0.01, params=p)
+    s, off, ev = update(s, _quiet(), _spike(2, 3), t=1.0, params=p)
     assert ev == [(2, 1.0), (3, 1.0)]
     assert off[2] == 10.0 and off[3] == 10.0
 
@@ -120,22 +120,22 @@ def test_same_tick_cofiring_within_group_allowed() -> None:
 def test_retrigger_at_window_end_is_allowed() -> None:
     p = _params()
     s = ReflexState.initial(4)
-    s, _, _ = update(s, _quiet(), _spike(2), t=1.0, dt_tick=0.01, params=p)
+    s, _, _ = update(s, _quiet(), _spike(2), t=1.0, params=p)
     # group mate exactly at the window boundary: half-open, eligible
-    s, off, ev = update(s, _quiet(), _spike(3), t=1.5, dt_tick=0.01, params=p)
+    s, off, ev = update(s, _quiet(), _spike(3), t=1.5, params=p)
     assert ev == [(3, 1.5)] and off[3] == 10.0
 
 
 def test_inhibition_extends_with_later_fire() -> None:
     p = _params()
     s = ReflexState.initial(4)
-    s, _, _ = update(s, _quiet(), _spike(2), t=1.0, dt_tick=0.01, params=p)
-    s, _, ev = update(s, _quiet(), _spike(3), t=1.5, dt_tick=0.01, params=p)
+    s, _, _ = update(s, _quiet(), _spike(2), t=1.0, params=p)
+    s, _, ev = update(s, _quiet(), _spike(3), t=1.5, params=p)
     assert ev == [(3, 1.5)]
     # muscle 2 is Idle but its group is now inhibited until 2.0
-    s, _, ev = update(s, _quiet(), _spike(2), t=1.9, dt_tick=0.01, params=p)
+    s, _, ev = update(s, _quiet(), _spike(2), t=1.9, params=p)
     assert ev == []
-    s, _, ev = update(s, _quiet(), _spike(2), t=2.0, dt_tick=0.01, params=p)
+    s, _, ev = update(s, _quiet(), _spike(2), t=2.0, params=p)
     assert ev == [(2, 2.0)]
 
 
@@ -145,11 +145,11 @@ def test_inhibition_extends_with_later_fire() -> None:
 def test_non_monotone_time_rejected() -> None:
     p = _params()
     s = ReflexState.initial(4)
-    s, _, _ = update(s, _quiet(), _quiet(), t=1.0, dt_tick=0.01, params=p)
+    s, _, _ = update(s, _quiet(), _quiet(), t=1.0, params=p)
     with pytest.raises(ValueError):
-        update(s, _quiet(), _quiet(), t=1.0, dt_tick=0.01, params=p)
+        update(s, _quiet(), _quiet(), t=1.0, params=p)
     with pytest.raises(ValueError):
-        update(s, _quiet(), _quiet(), t=0.5, dt_tick=0.01, params=p)
+        update(s, _quiet(), _quiet(), t=0.5, params=p)
 
 
 def test_effective_ref_subtracts_offsets() -> None:
@@ -162,7 +162,7 @@ def test_effective_ref_subtracts_offsets() -> None:
 def test_update_does_not_mutate_input_state() -> None:
     p = _params()
     s0 = ReflexState.initial(4)
-    update(s0, _quiet(), _spike(2), t=1.0, dt_tick=0.01, params=p)
+    update(s0, _quiet(), _spike(2), t=1.0, params=p)
     assert np.all(np.isneginf(s0.fired_at)) and s0.last_t == -np.inf
 
 
@@ -210,7 +210,7 @@ def test_production_matches_reference_on_random_streams(data) -> None:
     for i, t in enumerate(times):
         prev = np.array(vals[max(i - 1, 0)])
         now = np.array(vals[i])
-        s, off, ev = update(s, prev, now, t=t, dt_tick=0.01, params=p)
+        s, off, ev = update(s, prev, now, t=t, params=p)
         got_events.extend(ev)
         got_offsets.append([float(x) for x in off])
 

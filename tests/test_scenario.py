@@ -40,7 +40,6 @@ def _robot(gravity=False, mu_s=0.02, mu_k=0.01, damping=(0.3, 0.15)):
     )
     muscles = MuscleParams(
         k=np.full(4, 0.5),
-        l0=model.l0.copy(),
         f_max=np.full(4, 400.0),
         motor_vmax=np.full(4, 300.0),
         servo_gain=np.full(4, 30.0),
