@@ -15,11 +15,17 @@ one-sided spring-dampers that only ever push back toward the range.
 Integration is semi-implicit Euler at a fixed step (1 ms by default in the
 engine): velocity first from the torque sum, then position from the new
 velocity.  Non-finite state aborts the run rather than propagating.
+
+The per-step functions take and return lists of plain floats (one entry per
+joint or muscle) and read the model's constants from ``ArmModel.floats``;
+only the two matrix products go through numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,7 +35,6 @@ __all__ = [
     "JointParams",
     "LinkParams",
     "ArmModel",
-    "ArmState",
     "muscle_lengths_from_joints",
     "joint_torques",
     "gravity_torques",
@@ -74,6 +79,20 @@ class LinkParams:
     com: np.ndarray
 
 
+class _Floats:
+    """An ArmModel's constants as lists of plain floats, read by the step kernel."""
+
+    def __init__(self, model: "ArmModel"):
+        for f in fields(JointParams):  # the same names as JointParams
+            setattr(self, f.name, np.asarray(getattr(model.joints, f.name), dtype=float).tolist())
+        links, mass = model.links, np.asarray(model.links.mass, dtype=float)
+        self.length = np.asarray(links.length, dtype=float).tolist()
+        self.mass_com = (mass * links.com).tolist()
+        # mass beyond link j, summed from the tip inward
+        self.distal = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]]).tolist()
+        self.torque_map = model.G / 1000.0
+
+
 @dataclass(frozen=True)
 class ArmModel:
     joints: JointParams
@@ -82,6 +101,9 @@ class ArmModel:
     links: LinkParams
     gravity_g: float = 9.81
     gravity_enabled: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "floats", _Floats(self))
 
     @property
     def n_joints(self) -> int:
@@ -92,118 +114,114 @@ class ArmModel:
         return self.G.shape[1]
 
 
-@dataclass(frozen=True)
-class ArmState:
-    theta: np.ndarray  # rad
-    omega: np.ndarray  # rad/s
-    payload_mass: float = 0.0  # kg, point mass at the tip of the last link
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-
-
-def muscle_lengths_from_joints(theta: np.ndarray, model: ArmModel) -> np.ndarray:
+def muscle_lengths_from_joints(theta, model: ArmModel) -> np.ndarray:
     """Geometric muscle path lengths (mm) at posture ``theta``: l0 - G^T theta."""
     return model.l0 - model.G.T @ np.asarray(theta, dtype=float)
 
 
-def joint_torques(f: np.ndarray, model: ArmModel) -> np.ndarray:
+def joint_torques(f: list[float], model: ArmModel) -> list[float]:
     """Joint torques (N*m) from muscle tensions (N).
 
     Tension moves each joint in the muscle's shortening direction; with the
     shortening map s = G^T theta that is tau = (G/1000) f.  Tensions are
     forces in a wire and can never be negative.
     """
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0.0):
+    if min(f) < 0.0:
         raise ValueError(f"negative muscle tension: {f!r}")
-    return (model.G / 1000.0) @ f
+    return (model.floats.torque_map @ np.array(f)).tolist()
 
 
-def _abs_angles(theta: np.ndarray) -> np.ndarray:
-    return np.cumsum(theta)
-
-
-def gravity_torques(state: ArmState, model: ArmModel) -> np.ndarray:
+def gravity_torques(theta: list[float], payload_mass: float, model: ArmModel) -> list[float]:
     """Gravity torque per joint for the planar chain, payload at the tip.
 
     tau_i = -g * sum_{j>=i} sin(phi_j) * w_j with w_j collecting the link's
     own com term plus everything hanging distal of link j.
     """
-    n = model.n_joints
     if not model.gravity_enabled:
-        return np.zeros(n)
-    mass, length, com = model.links.mass, model.links.length, model.links.com
-    phi = _abs_angles(state.theta)
-    distal = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])  # mass beyond link j
-    w = mass * com + length * (distal + state.payload_mass)
-    terms = np.sin(phi) * w
-    return -model.gravity_g * np.cumsum(terms[::-1])[::-1]
+        return [0.0] * len(theta)
+    a = model.floats
+    terms = [
+        math.sin(phi) * (mc + length * (distal + payload_mass))
+        for phi, mc, length, distal in zip(accumulate(theta), a.mass_com, a.length, a.distal)
+    ]
+    g = -model.gravity_g
+    return [g * v for v in reversed(list(accumulate(reversed(terms))))]
 
 
-def effective_inertia(state: ArmState, model: ArmModel) -> np.ndarray:
+def effective_inertia(theta: list[float], payload_mass: float, model: ArmModel) -> list[float]:
     """Base joint inertia plus the payload as a point mass at the tip."""
-    if state.payload_mass == 0.0:
-        return model.joints.inertia
-    phi = _abs_angles(state.theta)
-    steps = np.stack([model.links.length * np.sin(phi), -model.links.length * np.cos(phi)], axis=1)
-    pos = np.vstack([np.zeros((1, 2)), np.cumsum(steps, axis=0)])  # joint 0 .. tip
-    tip = pos[-1]
-    d2 = np.sum((tip - pos[:-1]) ** 2, axis=1)
-    return model.joints.inertia + state.payload_mass * d2
+    a = model.floats
+    if payload_mass == 0.0:
+        return a.inertia
+    segments = list(zip(accumulate(theta), a.length))
+    xs = [0.0, *accumulate(length * math.sin(p) for p, length in segments)]  # joint 0 .. tip
+    ys = [0.0, *accumulate(-length * math.cos(p) for p, length in segments)]
+    tx, ty = xs[-1], ys[-1]
+    return [
+        inertia + payload_mass * ((tx - x) * (tx - x) + (ty - y) * (ty - y))
+        for inertia, x, y in zip(a.inertia, xs, ys)
+    ]
 
 
-def limit_torques(state: ArmState, model: ArmModel) -> tuple[np.ndarray, np.ndarray]:
+def limit_torques(
+    theta: list[float], omega: list[float], model: ArmModel
+) -> tuple[list[float], list[float]]:
     """One-sided spring-damper limit torque and its logged magnitude per joint."""
-    j = model.joints
-    th, om = state.theta, state.omega
-    over = th > j.limit_hi
-    under = th < j.limit_lo
-    hi_push = np.where(
-        over, np.maximum(0.0, j.limit_stiffness * (th - j.limit_hi) + j.limit_damping * om), 0.0
-    )
-    lo_push = np.where(
-        under, np.maximum(0.0, j.limit_stiffness * (j.limit_lo - th) - j.limit_damping * om), 0.0
-    )
-    tau = lo_push - hi_push
-    return tau, lo_push + hi_push
+    a = model.floats
+    tau, force = [], []
+    for th, om, lo, hi, k, c in zip(
+        theta, omega, a.limit_lo, a.limit_hi, a.limit_stiffness, a.limit_damping
+    ):
+        hi_push = lo_push = 0.0
+        if th > hi:
+            push = k * (th - hi) + c * om
+            hi_push = 0.0 if 0.0 > push else push
+        if th < lo:
+            push = k * (lo - th) - c * om
+            lo_push = 0.0 if 0.0 > push else push
+        tau.append(lo_push - hi_push)
+        force.append(lo_push + hi_push)
+    return tau, force
 
 
 def step_dynamics(
-    state: ArmState,
-    tau_muscle: np.ndarray,
+    theta: list[float],
+    omega: list[float],
+    payload_mass: float,
+    tau_muscle: list[float],
     dt: float,
     model: ArmModel,
-) -> tuple[ArmState, np.ndarray]:
-    """One semi-implicit Euler step; returns (new state, limit-force magnitudes)."""
-    if not np.all(np.isfinite(tau_muscle)):
+) -> tuple[list[float], list[float], list[float]]:
+    """One semi-implicit Euler step; returns (theta, omega, limit-force magnitudes)."""
+    if not all(map(math.isfinite, tau_muscle)):
         raise SimulationDiverged(f"non-finite applied torque: muscle={tau_muscle!r}")
-    j = model.joints
-    tau_limit, limit_force = limit_torques(state, model)
-    tau_nf = (
-        np.asarray(tau_muscle, dtype=float)
-        + gravity_torques(state, model)
-        + tau_limit
-        - j.damping * state.omega
-    )
-    inertia = effective_inertia(state, model)
+    a = model.floats
+    tau_limit, limit_force = limit_torques(theta, omega, model)
+    tau_gravity = gravity_torques(theta, payload_mass, model)
+    inertia = effective_inertia(theta, payload_mass, model)
+    new_theta, new_omega = [], []
+    for i, (th, om) in enumerate(zip(theta, omega)):
+        tau_nf = tau_muscle[i] + tau_gravity[i] + tau_limit[i] - a.damping[i] * om
+        h = dt / inertia[i]
+        om = om + h * tau_nf
+        # Coulomb friction as a capped impulse: may stop the joint, never reverse it
+        cap, speed = h * a.mu_kinetic[i], abs(om)
+        fric_dv = cap if cap < speed else speed
+        if om > 0.0:
+            om = om - fric_dv
+        elif om < 0.0:
+            om = om + fric_dv
+        if abs(om) < a.stiction_band[i] and abs(tau_nf) <= a.mu_static[i]:
+            om = 0.0
+        new_omega.append(om)
+        new_theta.append(th + dt * om)
+    if not (all(map(math.isfinite, new_theta)) and all(map(math.isfinite, new_omega))):
+        raise SimulationDiverged(f"integrator produced non-finite state: theta={new_theta!r}")
+    return new_theta, new_omega, limit_force
 
-    omega = state.omega + (dt / inertia) * tau_nf
-    # Coulomb friction as a capped impulse: may stop the joint, never reverse it
-    fric_dv = np.minimum((dt / inertia) * j.mu_kinetic, np.abs(omega))
-    omega = omega - np.sign(omega) * fric_dv
-    hold = (np.abs(omega) < j.stiction_band) & (np.abs(tau_nf) <= j.mu_static)
-    omega = np.where(hold, 0.0, omega)
-    theta = state.theta + dt * omega
 
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(omega))):
-        raise SimulationDiverged(f"integrator produced non-finite state: theta={theta!r}")
-    return replace(state, theta=theta, omega=omega), limit_force
-
-
-def apply_impulse(state: ArmState, joint: int, delta_omega: float) -> ArmState:
-    """Instantaneous velocity change at one joint (impact model)."""
-    omega = state.omega.copy()
+def apply_impulse(omega: list[float], joint: int, delta_omega: float) -> list[float]:
+    """Instantaneous velocity change at one joint (impact model); returns new velocities."""
+    omega = list(omega)
     omega[joint] += delta_omega
-    return replace(state, omega=omega)
+    return omega

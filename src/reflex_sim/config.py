@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .experiments import EXPERIMENT_FUNCTIONS, EXPERIMENT_NAMES, Variant
 from .muscles import MuscleParams
 from .robot import Robot
-from .scenario import Impulse, PayloadSet, RefTrajectory, ScenarioScript
+from .scenario import Impulse, PayloadSet, RefTrajectory, ScenarioScript, last_event_time
 
 __all__ = [
     "ExperimentConfig",
@@ -288,18 +288,19 @@ def _custom_errors(doc) -> list[str]:
     _num(doc, "pretension_mm", "custom", errors, ge=0.0, required=False)
     _num(doc, "time_jitter", "custom", errors, ge=0.0, required=False)
 
-    # the last step starts before t == duration, so an event there never applies
-    def in_range(t):
-        return duration is None or 0.0 <= t < duration
+    # an event after the last step's time would never apply
+    last = None if duration is None else last_event_time(duration, ScenarioScript.dt)
+
+    def check_time(t, p):
+        if None not in (t, last) and t > last:
+            errors.append(f"{p}.t: must be within [0, {last:.6g}], the last step, got {t}")
 
     for i, imp in enumerate(doc.get("impulses", [])):
         p = f"custom.impulses[{i}]"
         if not isinstance(imp, dict):
             errors.append(f"{p}: must be a mapping")
             continue
-        t = _num(imp, "t", p, errors, ge=0.0)
-        if t is not None and not in_range(t):
-            errors.append(f"{p}.t: must be within [0, duration), got {t}")
+        check_time(_num(imp, "t", p, errors, ge=0.0), p)
         joint = imp.get("joint")
         if not isinstance(joint, int) or isinstance(joint, bool) or joint < 0:
             errors.append(f"{p}.joint: must be a joint index >= 0")
@@ -309,9 +310,7 @@ def _custom_errors(doc) -> list[str]:
         if not isinstance(pay, dict):
             errors.append(f"{p}: must be a mapping")
             continue
-        t = _num(pay, "t", p, errors, ge=0.0)
-        if t is not None and not in_range(t):
-            errors.append(f"{p}.t: must be within [0, duration), got {t}")
+        check_time(_num(pay, "t", p, errors, ge=0.0), p)
         _num(pay, "mass", p, errors, ge=0.0)
 
     traj = doc.get("trajectory")
@@ -412,6 +411,9 @@ def _experiment_errors(doc, base_dir: Path) -> list[str]:
         errors.append("scenario_params: must be a mapping")
     elif scenario in EXPERIMENT_FUNCTIONS:
         errors.extend(_scenario_params_errors(scenario, params))
+    elif scenario == "custom" and params:
+        errors.append("scenario_params: only a built-in scenario takes parameters; "
+                      "a custom script sets its values in the custom block")
 
     custom = doc.get("custom")
     if scenario == "custom":

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arm import ArmModel, ArmState, gravity_torques, muscle_lengths_from_joints
+from .arm import ArmModel, gravity_torques, muscle_lengths_from_joints
 from .muscles import elongation_from_tension
 
 __all__ = [
@@ -65,8 +65,7 @@ def loaded_hold_refs(
     theta = np.asarray(theta_target, dtype=float)
     n_m = model.n_muscles
     k = np.broadcast_to(np.asarray(muscle_k, dtype=float), (n_m,))
-    tau_g = gravity_torques(ArmState(theta=theta, omega=np.zeros_like(theta),
-                                     payload_mass=payload_mass), model)
+    tau_g = gravity_torques(theta.tolist(), payload_mass, model)
     f_pre = np.exp(k * pretension_mm)
     extra = np.zeros(n_m)
     for j in range(model.n_joints):

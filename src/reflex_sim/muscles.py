@@ -11,20 +11,19 @@ so tension is 1 N at zero elongation, decays toward zero on the slack side and
 grows steeply under stretch.  Tensions are clamped to ``f_max``; values below
 0.01 N are reported as-is and flagged slack downstream in telemetry.
 
-All state transitions are pure: they return new instances.  Fields accept
-either scalars (one muscle) or equal-shaped numpy arrays (a batch of muscles),
-since every operation is elementwise.
+The per-step functions take and return lists of plain floats, one entry per
+muscle; only the exponential goes through numpy, on the whole vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "MuscleParams",
-    "MuscleUnit",
     "tension_from_elongation",
     "elongation_from_tension",
     "step_motor",
@@ -34,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MuscleParams:
-    """Static per-muscle constants.
+    """Static per-muscle constants, each an array with one entry per muscle.
 
     k           spring steepness, 1/mm
     f_max       tension clamp, N
@@ -42,31 +41,19 @@ class MuscleParams:
     servo_gain  proportional gain of the length servo, 1/s
     """
 
-    k: float | np.ndarray
-    f_max: float | np.ndarray = 400.0
-    motor_vmax: float | np.ndarray = 200.0
-    servo_gain: float | np.ndarray = 20.0
+    k: np.ndarray
+    f_max: np.ndarray
+    motor_vmax: np.ndarray
+    servo_gain: np.ndarray
+
+    def __post_init__(self):
+        # plain-float copies for the step kernel: k_list, f_max_list, ...
+        for name in ("k", "f_max", "motor_vmax", "servo_gain"):
+            value = np.asarray(getattr(self, name), dtype=float).tolist()
+            object.__setattr__(self, f"{name}_list", value)
 
 
-@dataclass(frozen=True)
-class MuscleUnit:
-    """Muscle state: motor-side wire length plus the last two tension samples.
-
-    ``f_prev`` is rotated only at control-tick boundaries (100 Hz), never by
-    the physics-rate tension update; the reflex trigger compares tick samples.
-    """
-
-    params: MuscleParams
-    l_motor: float | np.ndarray  # mm, encoder side; this is the l reported to controllers
-    f: float | np.ndarray  # N, current tension
-    f_prev: float | np.ndarray  # N, tension at the previous control tick
-
-
-def tension_from_elongation(
-    delta_n: float | np.ndarray,
-    k: float | np.ndarray,
-    f_max: float | np.ndarray | None = None,
-) -> float | np.ndarray:
+def tension_from_elongation(delta_n, k, f_max=None):
     """Tension of the elastic element at elongation ``delta_n`` (mm).
 
     Pure exponential for all elongations (no piecewise zero on the slack
@@ -76,54 +63,45 @@ def tension_from_elongation(
     if not np.all(np.isfinite(delta_n)):
         raise ValueError(f"non-finite elongation: {delta_n!r}")
     f = np.exp(np.multiply(k, delta_n))
-    if f_max is not None:
-        f = np.minimum(f, f_max)
-    return float(f) if np.ndim(f) == 0 else f
+    return f if f_max is None else np.minimum(f, f_max)
 
 
-def elongation_from_tension(
-    f: float | np.ndarray, k: float | np.ndarray
-) -> float | np.ndarray:
+def elongation_from_tension(f, k):
     """Inverse law: elongation (mm) that produces tension ``f``.
 
     Defined for f > 0 only; zero or negative tension is a domain error.
     """
     if not np.all(np.greater(f, 0.0)):
         raise ValueError(f"tension must be positive, got {f!r}")
-    out = np.log(f) / k
-    return float(out) if np.ndim(out) == 0 else out
+    return np.log(f) / k
 
 
-def step_motor(
-    unit: MuscleUnit,
-    effective_ref: float | np.ndarray,
-    dt: float,
-) -> MuscleUnit:
-    """Advance the motor one step toward ``effective_ref`` (mm).
+def step_motor(l_motor: list[float], effective_ref: list[float], dt: float,
+               params: MuscleParams) -> list[float]:
+    """Motor-side wire lengths (mm) one step on toward ``effective_ref`` (mm).
 
     Winding rate is servo_gain * (ref - l_motor) clamped to +-motor_vmax.
-    Tension fields are untouched; only geometry changes here.
+    Only geometry changes here; tensions are recomputed from it next step.
     """
-    p = unit.params
-    rate = np.clip(
-        np.multiply(p.servo_gain, np.subtract(effective_ref, unit.l_motor)),
-        np.negative(p.motor_vmax),
-        p.motor_vmax,
-    )
-    l_new = unit.l_motor + dt * rate
-    if np.ndim(l_new) == 0:
-        l_new = float(l_new)
-    return replace(unit, l_motor=l_new)
+    out = []
+    for l, ref, gain, vmax in zip(l_motor, effective_ref, params.servo_gain_list,
+                                  params.motor_vmax_list):
+        rate = gain * (ref - l)
+        if rate < -vmax:
+            rate = -vmax
+        elif rate > vmax:
+            rate = vmax
+        out.append(l + dt * rate)
+    return out
 
 
-def update_tension(unit: MuscleUnit, geo_length: float | np.ndarray) -> MuscleUnit:
-    """Recompute tension from the current geometric path length (mm).
+def update_tension(l_motor: list[float], geo_length, params: MuscleParams) -> list[float]:
+    """Tensions (N) from the geometric path lengths (mm) and the motor lengths.
 
-    Elongation is geo_length - l_motor.  ``f_prev`` is deliberately not
-    rotated; the engine rotates it at control ticks.
+    Elongation is geo_length - l_motor.  The engine keeps the previous
+    control tick's tensions itself; nothing here is rotated.
     """
-    if not np.all(np.isfinite(geo_length)):
+    if not all(map(math.isfinite, geo_length)):
         raise ValueError(f"non-finite geometry length: {geo_length!r}")
-    delta_n = np.subtract(geo_length, unit.l_motor)
-    f = tension_from_elongation(delta_n, unit.params.k, unit.params.f_max)
-    return replace(unit, f=f)
+    x = [k * (g - l) for k, g, l in zip(params.k_list, geo_length, l_motor)]
+    return [f if f < f_max else f_max for f, f_max in zip(np.exp(x).tolist(), params.f_max_list)]

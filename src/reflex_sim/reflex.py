@@ -14,17 +14,16 @@ t_fired + dt_loose itself is free again (half-open window).  A muscle that
 fired is also ineligible itself until it returns to Idle.
 
 The controller is a pure state machine over sampled tensions; it knows
-nothing about the plant.  Offsets are subtracted from the commanded
-reference lengths downstream (``effective_ref``).
+nothing about the plant.  The engine subtracts the offsets from the
+commanded reference lengths.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["ReflexParams", "ReflexState", "update", "effective_ref"]
+__all__ = ["ReflexParams", "ReflexState", "update"]
 
 
 @dataclass(frozen=True)
@@ -48,34 +47,26 @@ class ReflexState:
     tick monotonicity.
     """
 
-    fired_at: np.ndarray
-    group_until: np.ndarray
+    fired_at: tuple[float, ...]
+    group_until: tuple[float, ...]
     last_t: float
 
     @staticmethod
     def initial(n_muscles: int, n_groups: int | None = None) -> "ReflexState":
         return ReflexState(
-            fired_at=np.full(n_muscles, -np.inf),
-            group_until=np.full(n_groups if n_groups is not None else n_muscles, -np.inf),
-            last_t=-np.inf,
+            fired_at=(-math.inf,) * n_muscles,
+            group_until=(-math.inf,) * (n_groups if n_groups is not None else n_muscles),
+            last_t=-math.inf,
         )
-
-
-def _group_index(params: ReflexParams, n_muscles: int) -> np.ndarray:
-    idx = np.zeros(n_muscles, dtype=int)
-    for gi, members in enumerate(params.groups):
-        for m in members:
-            idx[m] = gi
-    return idx
 
 
 def update(
     state: ReflexState,
-    tensions_prev: np.ndarray,
-    tensions_now: np.ndarray,
+    tensions_prev,
+    tensions_now,
     t: float,
     params: ReflexParams,
-) -> tuple[ReflexState, np.ndarray, list[tuple[int, float]]]:
+) -> tuple[ReflexState, list[float], list[tuple[int, float]]]:
     """One control tick; returns (new state, offsets in mm, fire events).
 
     ``tensions_prev``/``tensions_now`` are the tick samples the trigger
@@ -85,40 +76,33 @@ def update(
     if not t > state.last_t:
         raise ValueError(f"control ticks must advance: t={t} after last_t={state.last_t}")
 
-    n_m = len(tensions_now)
-    fired_at = state.fired_at.copy()
-    group_until = state.group_until.copy()
-    group_of = _group_index(params, n_m)
-
+    dt_loose = params.dt_loose
+    group_index = {m: gi for gi, members in enumerate(params.groups) for m in members}
+    group_of = [group_index.get(m, 0) for m in range(len(tensions_now))]
     # loosening windows that have run out: back to Idle before eligibility.
     # the deadline is the absolute instant fired_at + dt_loose, the same form
     # the group window uses, so the two never disagree by a rounding ulp
-    fired_at[t >= fired_at + params.dt_loose] = -np.inf
+    fired_at = [-math.inf if t >= tf + dt_loose else tf for tf in state.fired_at]
+    group_until = list(state.group_until)
 
-    idle = np.isneginf(fired_at)
-    group_free = t >= group_until
-    delta = np.asarray(tensions_now, dtype=float) - np.asarray(tensions_prev, dtype=float)
-    fires = idle & group_free[group_of] & (delta > params.c_stretch)
-
+    # decide every muscle before any fire closes its group: same-tick co-fires
+    fires = [
+        m for m, (tf, g, prev, now) in enumerate(zip(fired_at, group_of, tensions_prev, tensions_now))
+        if tf == -math.inf and t >= group_until[g] and now - prev > params.c_stretch
+    ]
     events: list[tuple[int, float]] = []
-    if np.any(fires):
-        fired_at[fires] = t
-        for m in np.flatnonzero(fires):
-            g = group_of[m]
-            group_until[g] = max(group_until[g], t + params.dt_loose)
-            events.append((int(m), t))
+    for m in fires:
+        fired_at[m] = t
+        g = group_of[m]
+        group_until[g] = max(group_until[g], t + dt_loose)
+        events.append((m, t))
 
-    active = ~np.isneginf(fired_at)
-    offsets = np.where(
-        active,
-        params.dl_stretch * (1.0 - (t - np.where(active, fired_at, t)) / params.dt_loose),
-        0.0,
-    )
-    offsets = np.maximum(offsets, 0.0)
-
-    return ReflexState(fired_at=fired_at, group_until=group_until, last_t=t), offsets, events
-
-
-def effective_ref(l_ref_commanded: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Reference lengths actually sent to the motors: commanded minus offsets."""
-    return np.subtract(l_ref_commanded, offsets)
+    offsets = []
+    for tf in fired_at:
+        off = 0.0
+        if tf != -math.inf:
+            off = params.dl_stretch * (1.0 - (t - tf) / dt_loose)
+            if off <= 0.0:
+                off = 0.0
+        offsets.append(off)
+    return ReflexState(fired_at=tuple(fired_at), group_until=tuple(group_until), last_t=t), offsets, events

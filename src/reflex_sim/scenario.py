@@ -19,24 +19,30 @@ Per-step pipeline, in contract order:
 
 Everything is deterministic; the only randomness is an optional uniform
 jitter on impulse times for custom scenarios, drawn from a seeded generator.
+
+The loop steps one mutable ``EngineState`` of plain Python floats, bit for bit
+equal to the array form: np.exp, both G products and np.interp stay numpy calls;
+squares are x * x, never x ** 2; sums run left to right; clamps keep numpy's ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from struct import Struct
 
 import numpy as np
 
-from .arm import ArmState, apply_impulse, joint_torques, muscle_lengths_from_joints, step_dynamics
+from .arm import apply_impulse, joint_torques, muscle_lengths_from_joints, step_dynamics
 from .control import FeedbackParams, FeedbackState, feedback_update
 from .errors import SimulationDiverged
-from .muscles import MuscleUnit, step_motor, update_tension
-from .reflex import ReflexParams, ReflexState, effective_ref
+from .muscles import step_motor, update_tension
+from .reflex import ReflexParams, ReflexState
 from .reflex import update as reflex_update
 from .robot import Robot
 from .telemetry import SLACK_TENSION, TelemetryLog
 
 __all__ = [
+    "EngineState",
     "Impulse",
     "PayloadSet",
     "RefTrajectory",
@@ -74,11 +80,6 @@ class RefTrajectory:
     times: tuple[float, ...]
     refs: tuple[tuple[float, ...], ...]
 
-    def eval(self, t: float) -> np.ndarray:
-        ts = np.asarray(self.times)
-        table = np.asarray(self.refs)
-        return np.array([np.interp(t, ts, table[:, j]) for j in range(table.shape[1])])
-
 
 @dataclass(frozen=True)
 class ScenarioScript:
@@ -96,6 +97,18 @@ class ScenarioScript:
     time_jitter: float = 0.0  # s, uniform +- shift on impulse times
 
 
+EVENT_SLACK = 1e-12  # s
+
+
+def step_count(duration: float, dt: float) -> int:
+    return int(round(duration / dt))
+
+
+def last_event_time(duration: float, dt: float) -> float:
+    """Latest event time that applies: events wait for a step t >= t_event - EVENT_SLACK."""
+    return (step_count(duration, dt) - 1) * dt + EVENT_SLACK
+
+
 def _jittered_impulses(scenario: ScenarioScript) -> list[Impulse]:
     imps = list(scenario.impulses)
     if scenario.time_jitter > 0.0:
@@ -107,6 +120,27 @@ def _jittered_impulses(scenario: ScenarioScript) -> list[Impulse]:
             shifted.append(replace(imp, t=t))
         imps = shifted
     return sorted(imps, key=lambda e: e.t)
+
+
+@dataclass(slots=True)
+class EngineState:
+    """Everything a run changes from step to step; per-joint and per-muscle
+    values are lists of plain Python floats.
+
+    Steps replace these lists rather than edit them, so a shallow copy is a snapshot.
+    """
+
+    theta: list[float]  # rad
+    omega: list[float]  # rad/s
+    payload_mass: float  # kg
+    l_motor: list[float]  # mm
+    f: list[float]  # N, tension at this step
+    f_prev: list[float]  # N, tension at the previous control tick
+    df: list[float]  # N, tick-sampled difference, held between ticks
+    offsets: list[float]  # mm, reflex offsets, held between ticks
+    refs_cmd: list[float]  # mm, commanded references after the pretension
+    reflex: ReflexState | None
+    feedback: FeedbackState | None
 
 
 def run(
@@ -121,125 +155,113 @@ def run(
     tick-sampled so the df column stays meaningful).  ``feedback=None`` holds
     the initial posture open loop unless a trajectory takes over.
     """
-    model = robot.model
+    model, muscles = robot.model, robot.muscles
     n, m = model.n_joints, model.n_muscles
     dt = scenario.dt
-    n_steps = int(round(scenario.duration / dt))
+    n_steps = step_count(scenario.duration, dt)
     control_every = int(round(1.0 / (scenario.control_rate_hz * dt)))
     fb_every = int(round(1.0 / (feedback.rate_hz * dt))) if feedback is not None else 0
-
-    theta0 = np.asarray(scenario.theta0, dtype=float)
-    state = ArmState(theta=theta0.copy(), omega=np.zeros(n), payload_mass=scenario.initial_payload)
-    refs_base = muscle_lengths_from_joints(theta0, model)
     pre = scenario.pretension_mm
 
-    unit = MuscleUnit(
-        params=robot.muscles,
-        l_motor=refs_base - pre,
-        f=np.ones(m),
-        f_prev=np.ones(m),
+    theta0 = np.asarray(scenario.theta0, dtype=float)
+    refs_cmd = (muscle_lengths_from_joints(theta0, model) - pre).tolist()
+    f0 = update_tension(refs_cmd, muscle_lengths_from_joints(theta0, model).tolist(), muscles)
+    st = EngineState(
+        theta=theta0.tolist(), omega=[0.0] * n, payload_mass=scenario.initial_payload,
+        l_motor=refs_cmd, f=f0, f_prev=f0, df=[0.0] * m, offsets=[0.0] * m, refs_cmd=refs_cmd,
+        reflex=ReflexState.initial(m, len(robot.groups)) if reflex is not None else None,
+        feedback=FeedbackState.initial(feedback) if feedback is not None else None,
     )
-    unit = update_tension(unit, muscle_lengths_from_joints(theta0, model))
-    unit = replace(unit, f_prev=unit.f)
-
-    fb_state = FeedbackState.initial(feedback) if feedback is not None else None
-    rx_state = ReflexState.initial(m, len(robot.groups)) if reflex is not None else None
 
     impulses = _jittered_impulses(scenario)
     payloads = sorted(scenario.payload_events, key=lambda e: e.t)
-    next_imp = 0
-    next_pay = 0
+    next_imp = next_pay = 0
+    traj = scenario.trajectory
+    if traj is not None:
+        # np.interp over every active step time at once: the same formula per
+        # point as one call per step, evaluated once per run
+        times = np.arange(n_steps) * dt
+        traj_start = traj.times[0] - EVENT_SLACK
+        s0 = int(np.searchsorted(times, traj_start))
+        table = np.asarray(traj.refs)
+        traj_cmd = np.empty((n_steps - s0, m))
+        for j in range(m):
+            traj_cmd[:, j] = np.interp(times[s0:], traj.times, table[:, j]) - pre
 
-    # preallocated log buffers
-    T = np.empty(n_steps)
-    TH = np.empty((n_steps, n))
-    OM = np.empty((n_steps, n))
-    LM = np.empty((n_steps, m))
-    LRC = np.empty((n_steps, m))
-    LRE = np.empty((n_steps, m))
-    F = np.empty((n_steps, m))
-    DF = np.empty((n_steps, m))
-    OFF = np.empty((n_steps, m))
+    # log blocks, preallocated; each row is packed in place from the lists
+    TH, OM, LF = (np.empty((n_steps, n)) for _ in range(3))
+    LM, LRC, LRE, F, DF, OFF = (np.empty((n_steps, m)) for _ in range(6))
+    put_n, put_m = Struct(f"{n}d").pack_into, Struct(f"{m}d").pack_into
     FIRED = np.zeros((n_steps, m), dtype=np.uint8)
-    LF = np.empty((n_steps, n))
-    SAT = np.zeros((n_steps, m), dtype=np.uint8)
-    SLK = np.zeros((n_steps, m), dtype=np.uint8)
-
     reflex_events: list[tuple[int, float]] = []
     scripted: list[tuple[float, str]] = []
-    offsets = np.zeros(m)
-    df_held = np.zeros(m)
-    f_max = robot.muscles.f_max
 
     for s in range(n_steps):
         t = s * dt
 
-        while next_imp < len(impulses) and impulses[next_imp].t <= t + 1e-12:
+        while next_imp < len(impulses) and impulses[next_imp].t <= t + EVENT_SLACK:
             imp = impulses[next_imp]
-            state = apply_impulse(state, imp.joint, imp.delta_omega)
+            st.omega = apply_impulse(st.omega, imp.joint, imp.delta_omega)
             scripted.append((t, f"impulse joint={imp.joint} domega={imp.delta_omega}"))
             next_imp += 1
-        while next_pay < len(payloads) and payloads[next_pay].t <= t + 1e-12:
+        while next_pay < len(payloads) and payloads[next_pay].t <= t + EVENT_SLACK:
             pay = payloads[next_pay]
-            state = replace(state, payload_mass=pay.mass)
+            st.payload_mass = pay.mass
             scripted.append((t, f"payload mass={pay.mass}"))
             next_pay += 1
 
-        unit = update_tension(unit, muscle_lengths_from_joints(state.theta, model))
+        st.f = update_tension(
+            st.l_motor, muscle_lengths_from_joints(st.theta, model).tolist(), muscles
+        )
 
-        if fb_state is not None and s % fb_every == 0:
-            fb_state = feedback_update(fb_state, state.theta, feedback)
-            refs_base = muscle_lengths_from_joints(fb_state.theta_virtual, model)
-        if scenario.trajectory is not None and t >= scenario.trajectory.times[0] - 1e-12:
-            refs_base = scenario.trajectory.eval(t)
-
-        refs_cmd = refs_base - pre
+        if feedback is not None and s % fb_every == 0:
+            st.feedback = feedback_update(st.feedback, st.theta, feedback)
+            st.refs_cmd = (muscle_lengths_from_joints(st.feedback.theta_virtual, model) - pre).tolist()
+        if traj is not None and t >= traj_start:
+            st.refs_cmd = traj_cmd[s - s0].tolist()
 
         if s % control_every == 0:
-            if rx_state is not None:
-                rx_state, offsets, fired_now = reflex_update(rx_state, unit.f_prev, unit.f, t, reflex)
-                for j, tf in fired_now:
+            if reflex is not None:
+                st.reflex, st.offsets, fired_now = reflex_update(st.reflex, st.f_prev, st.f, t, reflex)
+                for j, _ in fired_now:
                     FIRED[s, j] = 1
                 reflex_events.extend(fired_now)
-            df_held = unit.f - unit.f_prev
-            unit = replace(unit, f_prev=unit.f)
+            st.df = [a - b for a, b in zip(st.f, st.f_prev)]
+            st.f_prev = st.f
 
-        refs_eff = effective_ref(refs_cmd, offsets)
+        refs_eff = [c - o for c, o in zip(st.refs_cmd, st.offsets)]
 
-        tau = joint_torques(unit.f, model)
+        tau = joint_torques(st.f, model)
         try:
-            new_state, limit_force = step_dynamics(state, tau, dt, model)
+            theta, omega, limit_force = step_dynamics(
+                st.theta, st.omega, st.payload_mass, tau, dt, model
+            )
         except SimulationDiverged as e:
             raise SimulationDiverged(str(e), tick=s) from None
 
-        T[s] = t
-        TH[s] = state.theta
-        OM[s] = state.omega
-        LM[s] = unit.l_motor
-        LRC[s] = refs_cmd
-        LRE[s] = refs_eff
-        F[s] = unit.f
-        DF[s] = df_held
-        OFF[s] = offsets
-        LF[s] = limit_force
-        SAT[s] = unit.f >= f_max
-        SLK[s] = unit.f < SLACK_TENSION
+        row_n, row_m = 8 * n * s, 8 * m * s  # byte offsets of row s
+        put_n(TH, row_n, *st.theta)
+        put_n(OM, row_n, *st.omega)
+        put_m(LM, row_m, *st.l_motor)
+        put_m(LRC, row_m, *st.refs_cmd)
+        put_m(LRE, row_m, *refs_eff)
+        put_m(F, row_m, *st.f)
+        put_m(DF, row_m, *st.df)
+        put_m(OFF, row_m, *st.offsets)
+        put_n(LF, row_n, *limit_force)
 
-        unit = step_motor(unit, refs_eff, dt)
-        state = new_state
+        st.l_motor = step_motor(st.l_motor, refs_eff, dt, muscles)
+        st.theta, st.omega = theta, omega
 
     return TelemetryLog(
         dt=dt,
-        t=T, theta=TH, omega=OM,
+        t=np.arange(n_steps) * dt,
+        theta=TH, omega=OM,
         l_motor=LM, l_ref_commanded=LRC, l_ref_effective=LRE,
         f=F, df=DF, reflex_offset=OFF, reflex_fired=FIRED,
-        limit_force=LF, saturated=SAT, slack=SLK,
+        limit_force=LF,
+        saturated=(F >= muscles.f_max).astype(np.uint8),
+        slack=(F < SLACK_TENSION).astype(np.uint8),
         reflex_events=reflex_events,
         scripted_events=scripted,
-        meta={
-            "scenario": scenario.name,
-            "reflex": "on" if reflex is not None else "off",
-            "feedback": "on" if feedback is not None else "off",
-            "pretension_mm": pre,
-        },
     )

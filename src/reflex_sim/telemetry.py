@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 __all__ = ["TelemetryLog", "SLACK_TENSION"]
 
 SLACK_TENSION = 0.01  # N; tensions below this are flagged slack
+_CSV_CHUNK = 64  # rows formatted per write
 
 
 @dataclass
@@ -46,7 +48,6 @@ class TelemetryLog:
     slack: np.ndarray  # (N, m) uint8
     reflex_events: list[tuple[int, float]] = field(default_factory=list)
     scripted_events: list[tuple[float, str]] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_joints(self) -> int:
@@ -90,20 +91,16 @@ class TelemetryLog:
 
     def write_csv(self, fh: io.TextIOBase) -> None:
         fh.write(",".join(self.header()) + "\n")
-        float_blocks = [
+        blocks = [
             self.t[:, None], self.theta, self.omega, self.l_motor,
             self.l_ref_commanded, self.l_ref_effective, self.f, self.df,
-            self.reflex_offset,
+            self.reflex_offset, self.reflex_fired, self.limit_force, self.saturated, self.slack,
         ]
-        for i in range(len(self.t)):
-            parts: list[str] = []
-            for block in float_blocks:
-                parts.extend(repr(float(v)) for v in block[i])
-            parts.extend(str(int(v)) for v in self.reflex_fired[i])
-            parts.extend(repr(float(v)) for v in self.limit_force[i])
-            parts.extend(str(int(v)) for v in self.saturated[i])
-            parts.extend(str(int(v)) for v in self.slack[i])
-            fh.write(",".join(parts) + "\n")
+        # repr of a Python float or int is the column text; convert a chunk of
+        # rows at a time so the Python objects made for it stay a few tens of kB
+        for i in range(0, len(self.t), _CSV_CHUNK):
+            rows = zip(*(block[i:i + _CSV_CHUNK].tolist() for block in blocks))
+            fh.write("".join(",".join(map(repr, chain.from_iterable(row))) + "\n" for row in rows))
 
     @staticmethod
     def from_csv(path) -> "TelemetryLog":

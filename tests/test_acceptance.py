@@ -44,7 +44,7 @@ from reflex_sim.control import FeedbackParams, FeedbackState, feedback_update
 from reflex_sim.muscles import elongation_from_tension, tension_from_elongation
 from reflex_sim.reflex import ReflexParams, ReflexState, update as reflex_update
 from reflex_sim.scenario import Impulse, ScenarioScript, run
-from reflex_sim.arm import ArmState, effective_inertia
+from reflex_sim.arm import effective_inertia
 
 from reflex_reference import replay as reference_replay
 
@@ -266,10 +266,7 @@ def test_criterion_8_physics_invariants():
         ),
         _massless(robot),
     )
-    inert = effective_inertia(
-        ArmState(theta=np.zeros(2), omega=np.zeros(2), payload_mass=0.0),
-        _massless(robot).model,
-    )
+    inert = np.array(effective_inertia([0.0, 0.0], 0.0, _massless(robot).model))
     ke = 0.5 * np.sum(inert * coast.omega**2, axis=1)
     ke_jump = float(np.max(np.diff(ke)))
     ke_end = float(ke[-1])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from reflex_sim.arm import (
     ArmModel,
-    ArmState,
     JointParams,
     LinkParams,
     apply_impulse,
@@ -132,19 +131,19 @@ def test_length_map_is_linear(t1: list[float], t2: list[float]) -> None:
 def test_tension_torques_joint_toward_muscle_shortening() -> None:
     # G = +20 mm/rad muscle shortens as theta grows; 100 N must pull theta up
     m = _single_joint_model()
-    tau = joint_torques(np.array([100.0]), m)
+    tau = joint_torques([100.0], m)
     assert tau[0] == 2.0
 
 
 def test_antagonist_pair_with_equal_tension_cancels_exactly() -> None:
     m = _model()
-    tau = joint_torques(np.array([40.0, 40.0, 55.0, 55.0]), m)
+    tau = joint_torques([40.0, 40.0, 55.0, 55.0], m)
     assert tau[0] == 0.0 and tau[1] == 0.0
 
 
 def test_negative_tension_rejected() -> None:
     with pytest.raises(ValueError):
-        joint_torques(np.array([10.0, -1.0, 0.0, 0.0]), _model())
+        joint_torques([10.0, -1.0, 0.0, 0.0], _model())
 
 
 # ---- gravity ----
@@ -153,24 +152,21 @@ def test_negative_tension_rejected() -> None:
 def test_gravity_at_right_angle_elbow_frozen_value() -> None:
     # hand-computed: w_elbow = 0.8*0.054 = 0.0432 kg*m, tau = 9.81*0.0432
     m = _model()
-    s = ArmState(theta=np.array([0.0, -np.pi / 2]), omega=np.zeros(2))
-    tau = gravity_torques(s, m)
+    tau = gravity_torques([0.0, -np.pi / 2], 0.0, m)
     assert tau[1] == pytest.approx(0.423792, rel=1e-9)
     assert tau[0] == pytest.approx(0.423792, rel=1e-9)  # same distal term, zero proximal
 
 
 def test_gravity_with_payload_frozen_value() -> None:
     m = _model()
-    s = ArmState(theta=np.array([0.0, -np.pi / 2]), omega=np.zeros(2), payload_mass=2.0)
-    tau = gravity_torques(s, m)
+    tau = gravity_torques([0.0, -np.pi / 2], 2.0, m)
     # w_elbow = 0.0432 + 0.12*2.0 = 0.2832
     assert tau[1] == pytest.approx(9.81 * 0.2832, rel=1e-9)
 
 
 def test_hanging_straight_down_is_gravity_free() -> None:
     m = _model()
-    s = ArmState(theta=np.zeros(2), omega=np.zeros(2), payload_mass=5.0)
-    assert np.allclose(gravity_torques(s, m), 0.0, atol=1e-12)
+    assert np.allclose(gravity_torques([0.0, 0.0], 5.0, m), 0.0, atol=1e-12)
 
 
 def _potential_energy(theta: np.ndarray, payload: float, m: ArmModel) -> float:
@@ -194,8 +190,7 @@ def _potential_energy(theta: np.ndarray, payload: float, m: ArmModel) -> float:
 def test_gravity_matches_potential_energy_gradient(th: list[float], payload: float) -> None:
     m = _model()
     theta = np.array(th)
-    s = ArmState(theta=theta, omega=np.zeros(2), payload_mass=payload)
-    tau = gravity_torques(s, m)
+    tau = gravity_torques(th, payload, m)
     eps = 1e-6
     for i in range(2):
         dp = theta.copy()
@@ -211,14 +206,12 @@ def test_gravity_matches_potential_energy_gradient(th: list[float], payload: flo
 
 def test_effective_inertia_without_payload_is_base() -> None:
     m = _model()
-    s = ArmState(theta=np.array([0.3, -1.0]), omega=np.zeros(2))
-    assert np.array_equal(effective_inertia(s, m), m.joints.inertia)
+    assert np.array_equal(effective_inertia([0.3, -1.0], 0.0, m), m.joints.inertia)
 
 
 def test_effective_inertia_with_payload_straight_arm() -> None:
     m = _model()
-    s = ArmState(theta=np.zeros(2), omega=np.zeros(2), payload_mass=2.0)
-    ie = effective_inertia(s, m)
+    ie = effective_inertia([0.0, 0.0], 2.0, m)
     assert ie[1] == pytest.approx(0.04 + 2.0 * 0.12**2, rel=1e-12)
     assert ie[0] == pytest.approx(0.12 + 2.0 * (0.25 + 0.12) ** 2, rel=1e-12)
 
@@ -228,24 +221,31 @@ def test_effective_inertia_with_payload_straight_arm() -> None:
 
 def test_limit_inactive_inside_range() -> None:
     m = _model()
-    s = ArmState(theta=np.array([0.0, -1.0]), omega=np.array([0.0, 3.0]))
-    tau, force = limit_torques(s, m)
-    assert np.all(tau == 0.0) and np.all(force == 0.0)
+    tau, force = limit_torques([0.0, -1.0], [0.0, 3.0], m)
+    assert tau == [0.0, 0.0] and force == [0.0, 0.0]
 
 
 def test_limit_resists_penetration() -> None:
     m = _model()
-    s = ArmState(theta=np.array([0.0, 0.01]), omega=np.array([0.0, 1.0]))
-    tau, force = limit_torques(s, m)
+    tau, force = limit_torques([0.0, 0.01], [0.0, 1.0], m)
     assert tau[1] == pytest.approx(-(500.0 * 0.01 + 5.0 * 1.0), rel=1e-12)
     assert force[1] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_limit_never_pulls_inward() -> None:
     m = _model()
-    s = ArmState(theta=np.array([0.0, 0.01]), omega=np.array([0.0, -10.0]))
-    tau, force = limit_torques(s, m)
+    tau, force = limit_torques([0.0, 0.01], [0.0, -10.0], m)
     assert tau[1] == 0.0 and force[1] == 0.0
+
+
+def test_lower_limit_never_pulls_inward() -> None:
+    # below the lower stop but moving back in fast: the damper term outweighs
+    # the spring, and the one-sided limit must give zero, not a pull
+    m = _model()
+    tau, force = limit_torques([0.0, -2.41], [0.0, 10.0], m)
+    assert tau[1] == 0.0 and force[1] == 0.0
+    tau, force = limit_torques([0.0, -2.41], [0.0, 0.0], m)
+    assert tau[1] == pytest.approx(500.0 * 0.01, rel=1e-9) and force[1] == tau[1]
 
 
 # ---- dynamics step ----
@@ -254,65 +254,70 @@ def test_limit_never_pulls_inward() -> None:
 def test_step_above_static_friction_frozen_value() -> None:
     # I=0.05, net 0.5 N*m against 0.2 N*m friction, 1 ms step
     m = _single_joint_model()
-    s = ArmState(theta=np.zeros(1), omega=np.zeros(1))
-    s2, _ = step_dynamics(s, np.array([0.5]), 1e-3, m)
-    assert s2.omega[0] == pytest.approx(0.006, rel=1e-12)
-    assert s2.theta[0] == pytest.approx(6e-6, rel=1e-12)
+    theta, omega, _ = step_dynamics([0.0], [0.0], 0.0, [0.5], 1e-3, m)
+    assert omega[0] == pytest.approx(0.006, rel=1e-12)
+    assert theta[0] == pytest.approx(6e-6, rel=1e-12)
 
 
 def test_sub_static_torque_holds_joint() -> None:
     m = _single_joint_model()
-    s = ArmState(theta=np.zeros(1), omega=np.zeros(1))
-    s2, _ = step_dynamics(s, np.array([0.1]), 1e-3, m)
-    assert s2.omega[0] == 0.0 and s2.theta[0] == 0.0
+    theta, omega, _ = step_dynamics([0.0], [0.0], 0.0, [0.1], 1e-3, m)
+    assert omega[0] == 0.0 and theta[0] == 0.0
+
+
+def test_stiction_holds_at_exactly_mu_static() -> None:
+    # the bound is inclusive: a load of exactly mu_static still holds
+    m = _single_joint_model(mu_static=0.25, mu_kinetic=0.2)
+    theta, omega, _ = step_dynamics([0.0], [0.0], 0.0, [0.25], 1e-3, m)
+    assert omega[0] == 0.0 and theta[0] == 0.0
+    theta, omega, _ = step_dynamics([0.0], [0.0], 0.0, [0.2500001], 1e-3, m)
+    assert omega[0] > 0.0
 
 
 def test_stiction_holds_for_ten_thousand_steps() -> None:
     m = _single_joint_model(mu_static=0.3, mu_kinetic=0.2)
-    s = ArmState(theta=np.array([0.123]), omega=np.zeros(1))
+    theta, omega = [0.123], [0.0]
     for _ in range(10_000):
-        s, _ = step_dynamics(s, np.array([0.29]), 1e-3, m)
-    assert s.theta[0] == 0.123 and s.omega[0] == 0.0
+        theta, omega, _ = step_dynamics(theta, omega, 0.0, [0.29], 1e-3, m)
+    assert theta[0] == 0.123 and omega[0] == 0.0
 
 
 def test_kinetic_energy_non_increasing_under_friction_only() -> None:
     m = _single_joint_model(mu_kinetic=0.3, mu_static=0.4)
-    s = ArmState(theta=np.zeros(1), omega=np.array([2.0]))
+    theta, omega = [0.0], [2.0]
     ke_prev = 0.5 * 0.05 * 4.0
     for _ in range(3000):
-        s, _ = step_dynamics(s, np.zeros(1), 1e-3, m)
-        ke = 0.5 * 0.05 * float(s.omega[0]) ** 2
+        theta, omega, _ = step_dynamics(theta, omega, 0.0, [0.0], 1e-3, m)
+        ke = 0.5 * 0.05 * omega[0] ** 2
         assert ke <= ke_prev + 1e-15
         ke_prev = ke
-    assert s.omega[0] == 0.0  # came to rest and stays
+    assert omega[0] == 0.0  # came to rest and stays
 
 
 def test_friction_never_reverses_velocity_in_one_step() -> None:
     m = _single_joint_model(mu_kinetic=50.0, mu_static=50.0, stiction_band=0.0)
-    s = ArmState(theta=np.zeros(1), omega=np.array([0.001]))
-    s2, _ = step_dynamics(s, np.zeros(1), 1e-3, m)
-    assert s2.omega[0] == 0.0  # stops, does not flip sign
+    _, omega, _ = step_dynamics([0.0], [0.001], 0.0, [0.0], 1e-3, m)
+    assert omega[0] == 0.0  # stops, does not flip sign
 
 
 def test_impulse_adds_velocity() -> None:
-    s = ArmState(theta=np.zeros(2), omega=np.array([0.0, 0.5]))
-    s2 = apply_impulse(s, joint=1, delta_omega=1.6)
-    assert s2.omega[1] == 2.1 and s2.omega[0] == 0.0
-    assert s.omega[1] == 0.5  # value semantics: original untouched
+    omega = [0.0, 0.5]
+    after = apply_impulse(omega, joint=1, delta_omega=1.6)
+    assert after[1] == 2.1 and after[0] == 0.0
+    assert omega[1] == 0.5  # value semantics: original untouched
 
 
 def test_limit_penetration_bounded_for_hard_impact() -> None:
     m = _single_joint_model(limit=(-2.0, 0.0), mu_kinetic=0.5, mu_static=0.7, inertia=0.04)
-    s = ArmState(theta=np.array([-0.01]), omega=np.array([3.0]))
+    theta, omega = [-0.01], [3.0]
     worst = -np.inf
     for _ in range(2000):
-        s, _ = step_dynamics(s, np.zeros(1), 1e-3, m)
-        worst = max(worst, float(s.theta[0]))
+        theta, omega, _ = step_dynamics(theta, omega, 0.0, [0.0], 1e-3, m)
+        worst = max(worst, theta[0])
     assert worst <= 0.05
 
 
 def test_non_finite_torque_is_fatal() -> None:
     m = _single_joint_model()
-    s = ArmState(theta=np.zeros(1), omega=np.zeros(1))
     with pytest.raises(SimulationDiverged):
-        step_dynamics(s, np.array([np.nan]), 1e-3, m)
+        step_dynamics([0.0], [0.0], 0.0, [np.nan], 1e-3, m)

@@ -251,6 +251,11 @@ REJECTED_EXPERIMENT_VALUES = [
                  id="impulse-at-duration"),
     pytest.param(("custom", "payloads", 0, "t"), 2.0, "custom.payloads[0].t",
                  id="payload-at-duration"),
+    # inside the last step: the last step is at 1.999, so the event never applied
+    pytest.param(("custom", "impulses", 0, "t"), 1.9995, "custom.impulses[0].t",
+                 id="impulse-inside-the-last-step"),
+    pytest.param(("custom", "payloads", 0, "t"), 1.9995, "custom.payloads[0].t",
+                 id="payload-inside-the-last-step"),
     pytest.param(("custom", "trajectory"), {"times": [0.0, 1.0], "refs": [[1.0] * 4, [NAN] * 4]},
                  "custom.trajectory.refs", id="nan-trajectory-ref"),
 ]
@@ -278,10 +283,13 @@ def test_events_just_before_the_end_are_accepted(tmp_path):
     ("e3", {"drop_height": -1.0}, "scenario_params.drop_height"),
     ("e4", {"robot": 1.0}, "scenario_params.robot"),
     ("e4", {"payload": NAN}, "scenario_params.payload"),
+    ("custom", {"impact_domega": 9.0}, "scenario_params"),
 ])
 def test_scenario_params_checked_against_the_experiment(tmp_path, scenario, params, field):
     d = {"schema_version": 1, "kind": "experiment", "scenario": scenario,
          "scenario_params": params}
+    if scenario == "custom":
+        d["custom"] = _experiment_dict()["custom"]
     errs = validate_file(_write(tmp_path, "e.yaml", d))
     assert [e.split(":")[0] for e in errs] == [field]
 

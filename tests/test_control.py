@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reflex_sim.arm import ArmModel, ArmState, JointParams, LinkParams, muscle_lengths_from_joints
+from reflex_sim.arm import ArmModel, JointParams, LinkParams, muscle_lengths_from_joints
 from reflex_sim.control import (
     FeedbackParams,
     FeedbackState,

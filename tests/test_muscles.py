@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from reflex_sim.muscles import (
     MuscleParams,
-    MuscleUnit,
     elongation_from_tension,
     step_motor,
     tension_from_elongation,
@@ -18,13 +17,10 @@ from reflex_sim.muscles import (
 
 
 def _params(**kw) -> MuscleParams:
+    # one muscle
     base = dict(k=0.5, f_max=400.0, motor_vmax=200.0, servo_gain=20.0)
     base.update(kw)
-    return MuscleParams(**base)
-
-
-def _unit(l_motor: float = 100.0, **kw) -> MuscleUnit:
-    return MuscleUnit(params=_params(**kw), l_motor=l_motor, f=1.0, f_prev=1.0)
+    return MuscleParams(**{key: np.array([value]) for key, value in base.items()})
 
 
 # ---- constitutive law ----
@@ -94,20 +90,23 @@ def test_tension_strictly_monotone_below_clamp(a: float, b: float) -> None:
 
 def test_motor_step_rate_clamped() -> None:
     # error -10 mm, gain 20/s asks for -200 mm/s, clamp allows it: 1 ms -> -0.2 mm
-    u = step_motor(_unit(100.0), effective_ref=90.0, dt=1e-3)
-    assert u.l_motor == pytest.approx(99.8, abs=1e-12)
+    (l_motor,) = step_motor([100.0], [90.0], 1e-3, _params())
+    assert l_motor == pytest.approx(99.8, abs=1e-12)
 
 
 def test_motor_step_proportional_inside_clamp() -> None:
     # error -0.1 mm -> rate -2 mm/s -> -0.002 mm over 1 ms
-    u = step_motor(_unit(100.0), effective_ref=99.9, dt=1e-3)
-    assert u.l_motor == pytest.approx(99.998, abs=1e-12)
+    (l_motor,) = step_motor([100.0], [99.9], 1e-3, _params())
+    assert l_motor == pytest.approx(99.998, abs=1e-12)
 
 
 def test_motor_step_does_not_touch_tension_fields() -> None:
-    u0 = _unit(100.0)
-    u = step_motor(u0, effective_ref=90.0, dt=1e-3)
-    assert u.f == u0.f and u.f_prev == u0.f_prev
+    # the servo returns motor lengths only and leaves its inputs alone;
+    # tension follows from the new geometry at the next update
+    l_motor, ref = [100.0], [90.0]
+    out = step_motor(l_motor, ref, 1e-3, _params())
+    assert len(out) == 1 and out is not l_motor
+    assert l_motor == [100.0] and ref == [90.0]
 
 
 @given(
@@ -117,62 +116,57 @@ def test_motor_step_does_not_touch_tension_fields() -> None:
 )
 @settings(max_examples=200)
 def test_motor_speed_never_exceeds_vmax(l_motor: float, ref: float, dt: float) -> None:
-    u = step_motor(_unit(l_motor), effective_ref=ref, dt=dt)
-    assert abs(u.l_motor - l_motor) <= 200.0 * dt * (1.0 + 1e-12)
+    (after,) = step_motor([l_motor], [ref], dt, _params())
+    assert abs(after - l_motor) <= 200.0 * dt * (1.0 + 1e-12)
 
 
 def test_motor_converges_onto_reference() -> None:
-    u = _unit(100.0)
+    l_motor = [100.0]
     for _ in range(5000):
-        u = step_motor(u, effective_ref=93.0, dt=1e-3)
-    assert u.l_motor == pytest.approx(93.0, abs=1e-6)
+        l_motor = step_motor(l_motor, [93.0], 1e-3, _params())
+    assert l_motor[0] == pytest.approx(93.0, abs=1e-6)
 
 
 # ---- tension update ----
 
 
 def test_update_tension_uses_geometry_minus_motor() -> None:
-    u = update_tension(_unit(100.0), geo_length=110.0)
+    (f,) = update_tension([100.0], [110.0], _params())
     # delta_n = 10 mm
-    assert u.f == pytest.approx(148.4131591025766, rel=1e-12)
-    assert u.f_prev == 1.0  # rotated only at control ticks, not here
+    assert f == pytest.approx(148.4131591025766, rel=1e-12)
 
 
 def test_update_tension_clamps_and_flags_by_value() -> None:
-    u = update_tension(_unit(100.0), geo_length=130.0)
-    assert u.f == 400.0
+    assert update_tension([100.0], [130.0], _params()) == [400.0]
 
 
 def test_update_tension_slack_side() -> None:
-    u = update_tension(_unit(100.0), geo_length=80.0)
-    assert 0.0 < u.f < 1e-4
+    (f,) = update_tension([100.0], [80.0], _params())
+    assert 0.0 < f < 1e-4
 
 
 def test_update_tension_non_finite_geometry_rejected() -> None:
     with pytest.raises(ValueError):
-        update_tension(_unit(100.0), geo_length=float("nan"))
+        update_tension([100.0], [float("nan")], _params())
 
 
 def test_vectorized_unit_matches_scalar_units() -> None:
-    # the ops accept array-valued state so the engine can batch all muscles
+    # each muscle of a batch steps exactly as it would alone
     p = MuscleParams(
         k=np.array([0.5, 0.4]),
         f_max=np.array([400.0, 400.0]),
         motor_vmax=np.array([200.0, 300.0]),
         servo_gain=np.array([20.0, 30.0]),
     )
-    u = MuscleUnit(params=p, l_motor=np.array([100.0, 200.0]), f=np.ones(2), f_prev=np.ones(2))
-    u = step_motor(u, effective_ref=np.array([90.0, 199.9]), dt=1e-3)
-    u = update_tension(u, geo_length=np.array([110.0, 202.0]))
+    l_motor = step_motor([100.0, 200.0], [90.0, 199.9], 1e-3, p)
+    f = update_tension(l_motor, [110.0, 202.0], p)
 
-    s0 = step_motor(_unit(100.0), effective_ref=90.0, dt=1e-3)
-    s0 = update_tension(s0, geo_length=110.0)
-    s1 = step_motor(
-        _unit(200.0, k=0.4, motor_vmax=300.0, servo_gain=30.0),
-        effective_ref=199.9,
-        dt=1e-3,
-    )
-    s1 = update_tension(s1, geo_length=202.0)
+    p0 = _params()
+    s0 = step_motor([100.0], [90.0], 1e-3, p0)
+    f0 = update_tension(s0, [110.0], p0)
+    p1 = _params(k=0.4, motor_vmax=300.0, servo_gain=30.0)
+    s1 = step_motor([200.0], [199.9], 1e-3, p1)
+    f1 = update_tension(s1, [202.0], p1)
 
-    assert u.l_motor[0] == s0.l_motor and u.l_motor[1] == s1.l_motor
-    assert u.f[0] == s0.f and u.f[1] == s1.f
+    assert l_motor == s0 + s1
+    assert f == f0 + f1

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflex_reference import replay
+from reflex_sim.config import default_robot
 from reflex_sim.reflex import (
     ReflexParams,
     ReflexState,
-    effective_ref,
     update,
 )
+from reflex_sim.scenario import Impulse, ScenarioScript, run
 
 
 def _params(**kw) -> ReflexParams:
@@ -49,7 +50,7 @@ def test_fire_sets_full_offset_then_ramps_linearly() -> None:
     s = ReflexState.initial(4)
     s, off, ev = update(s, _quiet(), _spike(2), t=1.0, params=p)
     assert ev == [(2, 1.0)]
-    assert off[2] == 10.0 and np.all(off[[0, 1, 3]] == 0.0)
+    assert off == [0.0, 0.0, 10.0, 0.0]
 
     s, off, ev = update(s, _spike(2), _spike(2), t=1.25, params=p)
     assert ev == []
@@ -153,10 +154,15 @@ def test_non_monotone_time_rejected() -> None:
 
 
 def test_effective_ref_subtracts_offsets() -> None:
-    refs = np.array([250.0, 250.0, 240.0, 260.0])
-    off = np.array([0.0, 0.0, 10.0, 2.5])
-    out = effective_ref(refs, off)
-    assert np.array_equal(out, np.array([250.0, 250.0, 230.0, 257.5]))
+    # the engine sends commanded minus offset to the motors, on every row
+    robot = default_robot()
+    knock = ScenarioScript(
+        name="knock", duration=0.3, theta0=np.array([0.0, -1.57]), pretension_mm=7.4,
+        impulses=(Impulse(t=0.05, joint=1, delta_omega=4.2),),
+    )
+    log = run(knock, robot, reflex=ReflexParams(groups=robot.groups))
+    assert np.any(log.reflex_offset > 0.0)
+    assert np.array_equal(log.l_ref_effective, log.l_ref_commanded - log.reflex_offset)
 
 
 def test_update_does_not_mutate_input_state() -> None:

@@ -1,6 +1,7 @@
 """Engine-level tests: event timing, cadences, determinism, end-to-end reflex."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from reflex_sim.errors import SimulationDiverged
 from reflex_sim.muscles import MuscleParams
 from reflex_sim.reflex import ReflexParams
 from reflex_sim.robot import Robot
-from reflex_sim.scenario import Impulse, PayloadSet, RefTrajectory, ScenarioScript, run
+from reflex_sim.scenario import (
+    Impulse, PayloadSet, RefTrajectory, ScenarioScript, _jittered_impulses, run,
+)
 
 
 def _robot(gravity=False, mu_s=0.02, mu_k=0.01, damping=(0.3, 0.15)):
@@ -80,6 +83,18 @@ class TestEquilibrium:
         assert log.t[0] == 0.0
         assert log.t[-1] == pytest.approx(0.249)
         assert log.n_joints == 2 and log.n_muscles == 4
+
+
+class TestTelemetry:
+    def test_saturated_at_exactly_f_max(self):
+        # f_max below the pretension tension of the shoulder pair: both sit
+        # on the clamp, f == f_max exactly, and that counts as saturated
+        robot = _robot()
+        f_max = np.array([10.0, 10.0, 400.0, 400.0])
+        clamped = replace(robot, muscles=replace(robot.muscles, f_max=f_max))
+        log = run(_scenario(duration=0.05), clamped)
+        assert np.all(log.f[:, :2] == 10.0)
+        assert np.all(log.saturated[:, :2] == 1) and np.all(log.saturated[:, 2:] == 0)
 
 
 class TestScriptedEvents:
@@ -229,6 +244,21 @@ class TestDeterminism:
             log.write_csv(buf)
             out.append(buf.getvalue())
         assert out[0] == out[1]
+
+    def test_impulses_jittered_past_either_end_are_clamped(self):
+        # a jitter far wider than the run pushes every impulse out of it; each
+        # lands on the first step or the last one instead of being dropped
+        sc = _scenario(
+            duration=0.5,
+            impulses=tuple(Impulse(t=0.25, joint=0, delta_omega=0.1 * (i + 1)) for i in range(8)),
+            seed=3,
+            time_jitter=10.0,
+        )
+        ends = (0.0, sc.duration - sc.dt)
+        assert {imp.t for imp in _jittered_impulses(sc)} == set(ends)
+        log = run(sc, _robot())
+        assert {t for t, _ in log.scripted_events} == {0.0, log.t[-1]}
+        assert len(log.scripted_events) == 8
 
     def test_impulse_jitter_is_seeded(self):
         def times(seed):
