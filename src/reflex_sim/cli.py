@@ -25,20 +25,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .acceptance import check_experiment, run_variant
-from .config import (
-    ExperimentConfig,
-    custom_scenario,
-    default_robot,
-    load_experiment,
-    load_robot,
-    validate_file,
-)
-from .control import FeedbackParams
+from .config import Experiment, builtin_experiment, load_experiment, validate_file
 from .errors import ConfigError, SimulationDiverged
-from .experiments import EXPERIMENT_NAMES, ExperimentDef, Variant, builtin_experiments
+from .experiments import EXPERIMENT_NAMES, ExperimentDef, Variant
 from .metrics import (
     AnalysisParams,
     compute_report,
@@ -88,98 +78,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(parser: argparse.ArgumentParser, args) -> None:
+    """Reject argument combinations no config can make valid, before any work."""
+    if args.command == "run" and args.experiment == "custom":
+        if args.config is None:
+            parser.error("run custom: --config FILE is required")
+        if args.check:
+            parser.error("--check: acceptance checks exist for built-in experiments only")
+
+
 # ---- experiment assembly ----
 
 
-def _pick(value, fallback):
-    return fallback if value is None else value
+def _experiment(args) -> Experiment:
+    """The experiment the arguments name: the config file's, or the built-in as it ships."""
+    if args.config is None:
+        return builtin_experiment(args.experiment)
+    parsed = load_experiment(args.config)
+    if parsed.scenario != args.experiment:
+        raise ConfigError([f"run {args.experiment}: config selects scenario "
+                           f"{parsed.scenario!r}; pass the matching experiment name"])
+    return parsed
 
 
-def _configured(v: Variant, cfg: ExperimentConfig) -> Variant:
-    """``v`` with the reflex settings the config file sets."""
-    return replace(v, dl_stretch=_pick(cfg.dl_stretch, v.dl_stretch),
-                   dt_loose=_pick(cfg.dt_loose, v.dt_loose))
-
-
-def _with_overrides(exp: ExperimentDef, cfg: ExperimentConfig | None, args) -> ExperimentDef:
-    """Apply the config file's values, then the --reflex/--feedback switches and --seed."""
-    v, c_stretch = exp.default_variant, exp.c_stretch
-    fb = exp.feedback or FeedbackParams(theta_ref=exp.scenario.theta0.copy())
-    reflex_on, feedback_on = v.reflex, exp.feedback is not None
-    if cfg is not None:
-        v, c_stretch = _configured(v, cfg), _pick(cfg.c_stretch, c_stretch)
-        theta_ref = fb.theta_ref if cfg.theta_ref is None else np.array(cfg.theta_ref, dtype=float)
-        fb = replace(fb, alpha=_pick(cfg.alpha, fb.alpha), rate_hz=_pick(cfg.rate_hz, fb.rate_hz),
-                     theta_ref=theta_ref)
-        reflex_on = _pick(cfg.reflex_enabled, reflex_on)
-        feedback_on = _pick(cfg.feedback_enabled, feedback_on)
+def _switched(parsed: Experiment, args) -> ExperimentDef:
+    """The parsed experiment after the --reflex/--feedback switches and --seed."""
+    exp = parsed.exp
     if args.reflex is not None:
-        reflex_on = args.reflex == "on"
+        exp = replace(exp, default_variant=exp.default_variant.switched(args.reflex == "on"))
     if args.feedback is not None:
-        feedback_on = args.feedback == "on"
-    if reflex_on != v.reflex:
-        v = replace(v, reflex=reflex_on, label="reflex-on" if reflex_on else "reflex-off")
-    scenario = exp.scenario if args.seed is None else replace(exp.scenario, seed=args.seed)
-    return replace(exp, scenario=scenario, default_variant=v, c_stretch=c_stretch,
-                   feedback=fb if feedback_on else None)
-
-
-def _resolve_experiment(args) -> tuple[ExperimentDef, Robot]:
-    cfg = load_experiment(args.config) if args.config else None
-    if cfg is not None and cfg.robot_path is not None:
-        robot = load_robot(cfg.robot_path)
-    else:
-        robot = default_robot()
-    n_joints = robot.model.n_joints
-    if cfg is not None and cfg.theta_ref is not None and len(cfg.theta_ref) != n_joints:
-        raise ConfigError([f"feedback.theta_ref: expected {n_joints} joints, got {len(cfg.theta_ref)}"])
-
-    if args.experiment == "custom":
-        if cfg is None:
-            raise ConfigError(["run custom: --config FILE is required"])
-        if cfg.scenario != "custom":
-            raise ConfigError(
-                [f"run custom: config selects scenario {cfg.scenario!r}, not a custom script"]
-            )
-        scenario = custom_scenario(cfg, robot)
-        off = Variant("reflex-off", False)
-        exp = ExperimentDef(
-            name=cfg.name,
-            scenario=scenario,
-            feedback=None,
-            analysis=AnalysisParams(
-                theta_ref=_pick(cfg.theta_ref, tuple(float(v) for v in scenario.theta0))
-            ),
-            default_variant=off,
-            paper_sweep=(off, _configured(Variant("reflex-on", True), cfg)),
-        )
-    else:
-        if cfg is not None and cfg.scenario != args.experiment:
-            raise ConfigError(
-                [
-                    f"run {args.experiment}: config selects scenario "
-                    f"{cfg.scenario!r}; pass the matching experiment name"
-                ]
-            )
-        params = {args.experiment: cfg.scenario_params} if cfg is not None else {}
-        exp = builtin_experiments(robot, **params)[args.experiment]
-    return _with_overrides(exp, cfg, args), robot
+        exp = replace(exp, feedback=parsed.feedback if args.feedback == "on" else None)
+    if args.seed is not None:
+        exp = replace(exp, scenario=replace(exp.scenario, seed=args.seed))
+    return exp
 
 
 def _resolve_sweep(exp: ExperimentDef, sweep_arg: str) -> tuple[Variant, ...]:
     if sweep_arg == "paper":
         return exp.paper_sweep
     path = Path(sweep_arg)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(
             [f"--sweep: {sweep_arg!r} is neither the named sweep 'paper' nor an existing file"]
         )
-    cfg = load_experiment(path)
-    if cfg.sweep is None:
+    sweep = load_experiment(path).sweep
+    if sweep is None:
         raise ConfigError([f"--sweep: {path} does not define a sweep"])
-    if cfg.sweep == "paper":
-        return exp.paper_sweep
-    return cfg.sweep
+    return exp.paper_sweep if sweep == "paper" else sweep
 
 
 # ---- execution ----
@@ -208,14 +153,12 @@ def _write_comparison(exp_dir: Path, variants: tuple[Variant, ...]) -> None:
 
 
 def _cmd_run(args) -> int:
-    exp, robot = _resolve_experiment(args)
+    parsed = _experiment(args)
+    exp, robot = _switched(parsed, args), parsed.robot
     exp_dir = Path(args.out) / exp.name
 
     if args.sweep:
         variants = _resolve_sweep(exp, args.sweep)
-        labels = [v.label for v in variants]
-        if len(set(labels)) != len(labels):
-            raise ConfigError([f"sweep: duplicate variant labels {labels}"])
         for v in variants:
             _run_one(exp, robot, v, exp_dir / v.label)
         _write_comparison(exp_dir, variants)
@@ -225,8 +168,6 @@ def _cmd_run(args) -> int:
         print(f"wrote {exp_dir / 'log.csv'}")
 
     if args.check:
-        if args.experiment == "custom":
-            raise ConfigError(["--check: acceptance checks exist for built-in experiments only"])
         result = check_experiment(args.experiment, robot)
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.details}")
@@ -264,6 +205,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(parser, args)
     except SystemExit as e:  # argparse exits 2 on usage errors, 0 on --help
         return int(e.code or 0)
     try:

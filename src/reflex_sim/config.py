@@ -5,11 +5,15 @@ Two file kinds, both with ``schema_version: 1``:
 kind: robot       joints, links, muscles (with per-joint moment arms),
                   reflex inhibition groups, gravity
 kind: experiment  scenario selection (builtin name or a custom script),
-                  reflex and feedback settings, optional sweep
+                  the robot it runs on, reflex and feedback settings,
+                  optional sweep
 
-Validation never runs physics.  All problems in a file are collected into
-one list of "field.path: message" strings; loaders raise ConfigError
-carrying that list.
+Each file is parsed in one pass that reads every field once, checks it and
+builds what it configures.  An experiment is parsed together with the robot
+it names, so every width is checked against that robot, and the result is
+the runnable experiment; ``validate`` parses and discards it.  Parsing never
+runs physics.  All problems in a file are collected into one list of
+"field.path: message" strings, raised as one ConfigError.
 """
 
 from __future__ import annotations
@@ -17,59 +21,74 @@ from __future__ import annotations
 import importlib.resources
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
 
 from .arm import ArmModel, JointParams, LinkParams
+from .control import FeedbackParams
 from .errors import ConfigError
-from .experiments import EXPERIMENT_FUNCTIONS, EXPERIMENT_NAMES, Variant
+from .experiments import (
+    BUILTIN_JOINTS,
+    EXPERIMENT_FUNCTIONS,
+    EXPERIMENT_NAMES,
+    ExperimentDef,
+    Variant,
+    builtin_experiments,
+)
+from .metrics import AnalysisParams
 from .muscles import MuscleParams
 from .robot import Robot
-from .scenario import Impulse, PayloadSet, RefTrajectory, ScenarioScript, last_event_time
+from .scenario import (
+    Impulse,
+    PayloadSet,
+    RefTrajectory,
+    ScenarioScript,
+    last_event_time,
+    step_count,
+)
 
 __all__ = [
-    "ExperimentConfig",
+    "Experiment",
     "validate_file",
     "load_robot",
     "load_experiment",
+    "builtin_experiment",
     "default_robot",
     "default_robot_path",
-    "custom_scenario",
 ]
 
 SCHEMA_VERSION = 1
 
-_JOINT_FIELDS = (
-    "inertia", "damping", "limit_lo", "limit_hi", "limit_stiffness",
-    "limit_damping", "mu_static", "mu_kinetic", "stiction_band",
-)
+# libyaml's parser when PyYAML was built with it; either way PyYAML's own
+# resolver and constructor type the scalars, so both give the same documents
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# the bounds each number of a robot entry must meet, as _num keywords
+_JOINT_FIELDS = {
+    "inertia": {"gt": 0.0}, "damping": {"ge": 0.0},
+    "limit_lo": {"inf_ok": True}, "limit_hi": {"inf_ok": True},
+    "limit_stiffness": {"ge": 0.0}, "limit_damping": {"ge": 0.0},
+    "mu_static": {"ge": 0.0}, "mu_kinetic": {"ge": 0.0}, "stiction_band": {"ge": 0.0},
+}
+_LINK_FIELDS = {"mass": {"gt": 0.0}, "length": {"gt": 0.0}, "com": {"ge": 0.0}}
+_MUSCLE_FIELDS = dict.fromkeys(("k", "l0", "f_max", "motor_vmax", "servo_gain"), {"gt": 0.0})
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Parsed, validated experiment file (paths resolved but not loaded)."""
+class Experiment(NamedTuple):
+    """An experiment file parsed into everything ``run`` needs."""
 
-    name: str
-    scenario: str
-    base_dir: Path
-    robot_path: Path | None = None
-    scenario_params: dict = field(default_factory=dict)
-    reflex_enabled: bool | None = None
-    c_stretch: float | None = None
-    dl_stretch: float | None = None
-    dt_loose: float | None = None
-    feedback_enabled: bool | None = None
-    alpha: float | None = None
-    rate_hz: float | None = None
-    theta_ref: tuple[float, ...] | None = None
-    sweep: str | tuple[Variant, ...] | None = None
-    custom: dict | None = None
+    scenario: str  # a built-in's name, or "custom"
+    exp: ExperimentDef  # the file's values set, each layer switched as the file says
+    robot: Robot
+    feedback: FeedbackParams  # the feedback settings, kept when the file switches the layer off
+    sweep: str | tuple[Variant, ...] | None  # "paper", the file's own runs, or none
 
 
-# ---- small validation helpers ----
+# ---- small parsing helpers ----
 
 
 def _is_number(v, inf_ok=False) -> bool:
@@ -79,30 +98,29 @@ def _is_number(v, inf_ok=False) -> bool:
     return math.isfinite(v) or (inf_ok and math.isinf(v))
 
 
-def _num(d, key, path, errors, *, gt=None, ge=None, lt=None, le=None, required=True,
-         inf_ok=False):
+def _num(d, key, path, errors, *, gt=None, ge=None, le=None, required=True, inf_ok=False):
+    """``d[key]`` as a float, or None (with an error) when missing or out of bounds."""
+    at = f"{path}.{key}" if path else key
     if key not in d:
         if required:
-            errors.append(f"{path}.{key}: required")
+            errors.append(f"{at}: required")
         return None
     v = d[key]
     if not _is_number(v, inf_ok):
-        errors.append(f"{path}.{key}: must be a finite number, got {v!r}")
+        errors.append(f"{at}: must be a finite number, got {v!r}")
         return None
     v = float(v)
-    if gt is not None and not v > gt:
-        errors.append(f"{path}.{key}: must be > {gt}, got {v}")
-    if ge is not None and not v >= ge:
-        errors.append(f"{path}.{key}: must be >= {ge}, got {v}")
-    if lt is not None and not v < lt:
-        errors.append(f"{path}.{key}: must be < {lt}, got {v}")
-    if le is not None and not v <= le:
-        errors.append(f"{path}.{key}: must be <= {le}, got {v}")
+    for ok, bound in ((gt is None or v > gt, f"> {gt}"), (ge is None or v >= ge, f">= {ge}"),
+                      (le is None or v <= le, f"<= {le}")):
+        if not ok:
+            errors.append(f"{at}: must be {bound}, got {v}")
+            return None
     return v
 
 
-def _numlist(d, key, path, errors, *, required=True):
-    if key not in d:
+def _numlist(d, key, path, errors, *, joints=None, required=True):
+    """``d[key]`` as a list of floats, one per joint when ``joints`` is given, or None."""
+    if d.get(key) is None:
         if required:
             errors.append(f"{path}.{key}: required")
         return None
@@ -110,21 +128,57 @@ def _numlist(d, key, path, errors, *, required=True):
     if not isinstance(v, list) or not all(_is_number(x) for x in v):
         errors.append(f"{path}.{key}: must be a list of finite numbers")
         return None
+    if joints is not None and len(v) != joints:
+        errors.append(f"{path}.{key}: expected {joints} values, one per joint, got {len(v)}")
+        return None
     return [float(x) for x in v]
 
 
-def _seq_of_maps(d, key, path, errors):
+def _maps(d, key, errors) -> list[dict]:
+    """A required non-empty list of mappings."""
     v = d.get(key)
     if not isinstance(v, list) or not v or not all(isinstance(x, dict) for x in v):
-        errors.append(f"{path + '.' if path else ''}{key}: must be a non-empty list of mappings")
-        return None
+        errors.append(f"{key}: must be a non-empty list of mappings")
+        return []
     return v
 
 
+def _entries(d, key, path, errors) -> list[tuple[str, dict]]:
+    """(path, mapping) of each entry of an optional list of mappings."""
+    items = d.get(key, [])
+    if not isinstance(items, list):
+        errors.append(f"{path}.{key}: must be a list")
+        return []
+    out = []
+    for i, item in enumerate(items):
+        if isinstance(item, dict):
+            out.append((f"{path}.{key}[{i}]", item))
+        else:
+            errors.append(f"{path}.{key}[{i}]: must be a mapping")
+    return out
+
+
+def _mapping(d, key, errors) -> dict:
+    v = d.get(key, {})
+    if not isinstance(v, dict):
+        errors.append(f"{key}: must be a mapping")
+        return {}
+    return v
+
+
+def _switch(section: dict, path, errors) -> bool | None:
+    """A layer's ``enabled`` flag, or None when the file leaves it unset."""
+    enabled = section.get("enabled")
+    if "enabled" in section and not isinstance(enabled, bool):
+        errors.append(f"{path}.enabled: must be true or false")
+        return None
+    return enabled
+
+
 def _head_errors(doc, expected_kind):
-    errors = []
     if not isinstance(doc, dict):
         return [f"top level: must be a mapping, got {type(doc).__name__}"]
+    errors = []
     if doc.get("schema_version") != SCHEMA_VERSION:
         errors.append(
             f"schema_version: must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
@@ -137,212 +191,146 @@ def _head_errors(doc, expected_kind):
     return errors
 
 
-# ---- robot schema ----
+# ---- robot ----
 
 
-def _robot_errors(doc) -> list[str]:
+def _rows(items, key, fields, errors) -> list[dict]:
+    """Each entry's numbers, checked against their bounds (None where they fail)."""
+    return [
+        {f: _num(item, f, f"{key}[{i}]", errors, **bounds) for f, bounds in fields.items()}
+        for i, item in enumerate(items)
+    ]
+
+
+def _groups(groups, names, errors) -> tuple[tuple[int, ...], ...]:
+    """Inhibition groups as muscle indices; one muscle per group when unset."""
+    if groups is None:
+        return tuple((i,) for i in range(len(names)))
+    if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
+        errors.append("groups: must be a list of lists")
+        return ()
+    resolved = []
+    for group in groups:
+        members = []
+        for m in group:
+            if isinstance(m, str) and m in names:
+                members.append(names.index(m))
+            elif isinstance(m, int) and not isinstance(m, bool) and 0 <= m < len(names):
+                members.append(m)
+            else:
+                errors.append(f"groups: unknown muscle {m!r}")
+        resolved.append(tuple(members))
+    flat = sorted(m for g in resolved for m in g)
+    if len(flat) == sum(map(len, groups)) and flat != list(range(len(names))):
+        errors.append("groups: must partition the muscles (each exactly once)")
+    return tuple(resolved)
+
+
+def _parse_robot(doc) -> Robot:
     errors = _head_errors(doc, "robot")
     if not isinstance(doc, dict):
-        return errors
+        raise ConfigError(errors)
+    gravity = _num(doc, "gravity", "", errors, ge=0.0, required=False)
+    joints, links, muscles = (_maps(doc, key, errors) for key in ("joints", "links", "muscles"))
 
-    _num(doc, "gravity", "", errors, ge=0.0, required=False)
+    joint_rows = _rows(joints, "joints", _JOINT_FIELDS, errors)
+    for i, r in enumerate(joint_rows):
+        lo, hi, mu_s, mu_k = r["limit_lo"], r["limit_hi"], r["mu_static"], r["mu_kinetic"]
+        if None not in (lo, hi) and not lo < hi:
+            errors.append(f"joints[{i}].limit_lo: must be < limit_hi ({lo} >= {hi})")
+        if None not in (mu_s, mu_k) and mu_s < mu_k:
+            errors.append(f"joints[{i}].mu_static: must be >= mu_kinetic ({mu_s} < {mu_k})")
 
-    joints = _seq_of_maps(doc, "joints", "", errors)
-    links = _seq_of_maps(doc, "links", "", errors)
-    muscles = _seq_of_maps(doc, "muscles", "", errors)
+    if joints and links and len(links) != len(joints):
+        errors.append(f"links: expected one per joint ({len(joints)}), got {len(links)}")
+    link_rows = _rows(links, "links", _LINK_FIELDS, errors)
+    for i, r in enumerate(link_rows):
+        if None not in (r["com"], r["length"]) and r["com"] > r["length"]:
+            errors.append(f"links[{i}].com: must be <= length ({r['com']} > {r['length']})")
 
-    if joints is not None:
-        for i, j in enumerate(joints):
-            p = f"joints[{i}]"
-            _num(j, "inertia", p, errors, gt=0.0)
-            _num(j, "damping", p, errors, ge=0.0)
-            lo = _num(j, "limit_lo", p, errors, inf_ok=True)
-            hi = _num(j, "limit_hi", p, errors, inf_ok=True)
-            if lo is not None and hi is not None and not lo < hi:
-                errors.append(f"{p}.limit_lo: must be < limit_hi ({lo} >= {hi})")
-            _num(j, "limit_stiffness", p, errors, ge=0.0)
-            _num(j, "limit_damping", p, errors, ge=0.0)
-            mu_s = _num(j, "mu_static", p, errors, ge=0.0)
-            mu_k = _num(j, "mu_kinetic", p, errors, ge=0.0)
-            if mu_s is not None and mu_k is not None and mu_s < mu_k:
-                errors.append(f"{p}.mu_static: must be >= mu_kinetic ({mu_s} < {mu_k})")
-            _num(j, "stiction_band", p, errors, ge=0.0)
-
-    if links is not None:
-        if joints is not None and len(links) != len(joints):
-            errors.append(f"links: expected one per joint ({len(joints)}), got {len(links)}")
-        for i, l in enumerate(links):
-            p = f"links[{i}]"
-            _num(l, "mass", p, errors, gt=0.0)
-            length = _num(l, "length", p, errors, gt=0.0)
-            com = _num(l, "com", p, errors, ge=0.0)
-            if com is not None and length is not None and com > length:
-                errors.append(f"{p}.com: must be <= length ({com} > {length})")
-
-    names = []
-    if muscles is not None:
-        for i, m in enumerate(muscles):
-            p = f"muscles[{i}]"
-            names.append(m.get("name", i))
-            _num(m, "k", p, errors, gt=0.0)
-            _num(m, "l0", p, errors, gt=0.0)
-            _num(m, "f_max", p, errors, gt=0.0)
-            _num(m, "motor_vmax", p, errors, gt=0.0)
-            _num(m, "servo_gain", p, errors, gt=0.0)
-            arms = _numlist(m, "moment_arms", p, errors)
-            if arms is not None and joints is not None and len(arms) != len(joints):
-                errors.append(
-                    f"{p}.moment_arms: expected one per joint ({len(joints)}), got {len(arms)}"
-                )
-        if len(set(names)) != len(names):
-            errors.append("muscles: names must be unique")
-
-    groups = doc.get("groups")
-    if groups is not None and muscles is not None:
-        if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
-            errors.append("groups: must be a list of lists")
-        else:
-            flat = [m for g in groups for m in g]
-            resolved = []
-            for m in flat:
-                if isinstance(m, str):
-                    if m not in names:
-                        errors.append(f"groups: unknown muscle name {m!r}")
-                    else:
-                        resolved.append(names.index(m))
-                elif isinstance(m, int) and not isinstance(m, bool) and 0 <= m < len(names):
-                    resolved.append(m)
-                else:
-                    errors.append(f"groups: invalid muscle reference {m!r}")
-            if len(resolved) == len(flat) and sorted(resolved) != list(range(len(names))):
-                errors.append(
-                    "groups: must partition the muscles (each exactly once)"
-                )
-    return errors
-
-
-def _robot_from_doc(doc) -> Robot:
-    joints = doc["joints"]
-    jp = JointParams(
-        **{f: np.array([float(j[f]) for j in joints]) for f in _JOINT_FIELDS}
-    )
-    links = doc["links"]
-    lp = LinkParams(
-        mass=np.array([float(l["mass"]) for l in links]),
-        length=np.array([float(l["length"]) for l in links]),
-        com=np.array([float(l["com"]) for l in links]),
-    )
-    muscles = doc["muscles"]
-    G = np.array([[float(a) for a in m["moment_arms"]] for m in muscles]).T
-    model = ArmModel(
-        joints=jp, G=G, l0=np.array([float(m["l0"]) for m in muscles]), links=lp,
-        gravity_g=float(doc.get("gravity", 9.81)),
-    )
-    mp = MuscleParams(
-        k=np.array([float(m["k"]) for m in muscles]),
-        f_max=np.array([float(m["f_max"]) for m in muscles]),
-        motor_vmax=np.array([float(m["motor_vmax"]) for m in muscles]),
-        servo_gain=np.array([float(m["servo_gain"]) for m in muscles]),
-    )
+    muscle_rows = _rows(muscles, "muscles", _MUSCLE_FIELDS, errors)
+    arms = [
+        _numlist(m, "moment_arms", f"muscles[{i}]", errors, joints=len(joints) or None)
+        for i, m in enumerate(muscles)
+    ]
     names = [str(m.get("name", i)) for i, m in enumerate(muscles)]
-    groups = doc.get("groups")
-    if groups is None:
-        resolved = tuple((i,) for i in range(len(names)))
-    else:
-        resolved = tuple(
-            tuple(names.index(m) if isinstance(m, str) else int(m) for m in g)
-            for g in groups
-        )
+    if len(set(names)) != len(names):
+        errors.append("muscles: names must be unique")
+    groups = _groups(doc.get("groups"), names, errors)
+    if errors:
+        raise ConfigError(errors)
+
+    def column(rows, f):
+        return np.array([r[f] for r in rows])
+
+    model = ArmModel(
+        joints=JointParams(**{f: column(joint_rows, f) for f in _JOINT_FIELDS}),
+        G=np.array(arms).T,
+        l0=column(muscle_rows, "l0"),
+        links=LinkParams(**{f: column(link_rows, f) for f in _LINK_FIELDS}),
+        gravity_g=9.81 if gravity is None else gravity,
+    )
     return Robot(
         model=model,
-        muscles=mp,
+        muscles=MuscleParams(
+            **{f: column(muscle_rows, f) for f in ("k", "f_max", "motor_vmax", "servo_gain")}
+        ),
         joint_names=tuple(str(j.get("name", i)) for i, j in enumerate(joints)),
         muscle_names=tuple(names),
-        groups=resolved,
+        groups=groups,
     )
 
 
-# ---- experiment schema ----
+# ---- experiment ----
 
 
-def _variant_from(d, idx, errors) -> Variant | None:
-    p = f"sweep[{idx}]"
-    label = d.get("label", f"run{idx}")
-    reflex = d.get("reflex", True)
-    if not isinstance(reflex, bool):
-        errors.append(f"{p}.reflex: must be true or false")
+def _robot_named(ref, base_dir: Path, errors) -> Robot | None:
+    """The robot an experiment runs on: the shipped default, or the file it names."""
+    if ref is None:
+        return default_robot()
+    if not isinstance(ref, str):
+        errors.append("robot: must be a path string")
         return None
-    # unset values keep the Variant defaults
-    values = {k: _num(d, k, p, errors, gt=0.0) for k in ("dl_stretch", "dt_loose") if k in d}
-    if None in values.values():
+    if not (base_dir / ref).is_file():
+        errors.append(f"robot: file not found: {ref}")
         return None
-    return Variant(label=str(label), reflex=reflex, **values)
+    try:
+        return load_robot(base_dir / ref)
+    except ConfigError as e:
+        errors.extend(f"robot: {ref}: {err}" for err in e.errors)
+        return None
 
 
-def _custom_errors(doc) -> list[str]:
-    errors = []
-    duration = _num(doc, "duration", "custom", errors, gt=0.0)
-    theta0 = _numlist(doc, "theta0", "custom", errors)
-    if theta0 is not None and not theta0:
-        errors.append("custom.theta0: must not be empty")
-    _num(doc, "pretension_mm", "custom", errors, ge=0.0, required=False)
-    _num(doc, "time_jitter", "custom", errors, ge=0.0, required=False)
-
-    # an event after the last step's time would never apply
-    last = None if duration is None else last_event_time(duration, ScenarioScript.dt)
-
-    def check_time(t, p):
-        if None not in (t, last) and t > last:
-            errors.append(f"{p}.t: must be within [0, {last:.6g}], the last step, got {t}")
-
-    for i, imp in enumerate(doc.get("impulses", [])):
-        p = f"custom.impulses[{i}]"
-        if not isinstance(imp, dict):
+def _parse_sweep(sweep, errors) -> str | tuple[Variant, ...] | None:
+    if sweep is None or sweep == "paper":
+        return sweep
+    if not isinstance(sweep, list) or not sweep:
+        errors.append("sweep: must be 'paper' or a non-empty list of run mappings")
+        return None
+    variants = []
+    for i, entry in enumerate(sweep):
+        p = f"sweep[{i}]"
+        if not isinstance(entry, dict):
             errors.append(f"{p}: must be a mapping")
             continue
-        check_time(_num(imp, "t", p, errors, ge=0.0), p)
-        joint = imp.get("joint")
-        if not isinstance(joint, int) or isinstance(joint, bool) or joint < 0:
-            errors.append(f"{p}.joint: must be a joint index >= 0")
-        _num(imp, "delta_omega", p, errors)
-    for i, pay in enumerate(doc.get("payloads", [])):
-        p = f"custom.payloads[{i}]"
-        if not isinstance(pay, dict):
-            errors.append(f"{p}: must be a mapping")
+        reflex = entry.get("reflex", True)
+        if not isinstance(reflex, bool):
+            errors.append(f"{p}.reflex: must be true or false")
             continue
-        check_time(_num(pay, "t", p, errors, ge=0.0), p)
-        _num(pay, "mass", p, errors, ge=0.0)
-
-    traj = doc.get("trajectory")
-    if traj is not None:
-        if not isinstance(traj, dict):
-            errors.append("custom.trajectory: must be a mapping")
-        else:
-            times = _numlist(traj, "times", "custom.trajectory", errors)
-            refs = traj.get("refs")
-            if times is not None and any(
-                b <= a for a, b in zip(times, times[1:])
-            ):
-                errors.append("custom.trajectory.times: must be strictly increasing")
-            if (
-                not isinstance(refs, list)
-                or not refs
-                or not all(isinstance(r, list) and all(_is_number(x) for x in r) for r in refs)
-                or len({len(r) for r in refs}) > 1
-            ):
-                errors.append(
-                    "custom.trajectory.refs: must be equal-length rows of finite numbers, one per time"
-                )
-            elif times is not None and len(refs) != len(times):
-                errors.append("custom.trajectory.refs: need exactly one row per time")
-    return errors
+        # unset values keep the Variant defaults
+        values = {k: _num(entry, k, p, errors, gt=0.0) for k in ("dl_stretch", "dt_loose") if k in entry}
+        variants.append(Variant(str(entry.get("label", f"run{i}")), reflex, **values))
+    labels = [v.label for v in variants]
+    if len(set(labels)) != len(labels):
+        errors.append(f"sweep: labels must be unique, got {labels}")
+    return tuple(variants)
 
 
-def _scenario_params_errors(scenario: str, params: dict) -> list[str]:
+def _scenario_params(scenario: str, params: dict, errors) -> dict:
     """Keyword arguments of the built-in's function, typed by their defaults."""
-    errors: list[str] = []
     signature = inspect.signature(EXPERIMENT_FUNCTIONS[scenario]).parameters
     known = [name for name in signature if name != "robot"]
+    out = {}
     for key, value in params.items():
         p = f"scenario_params.{key}"
         if key not in known:
@@ -350,199 +338,226 @@ def _scenario_params_errors(scenario: str, params: dict) -> list[str]:
         elif isinstance(signature[key].default, int):
             if isinstance(value, bool) or not isinstance(value, int):
                 errors.append(f"{p}: must be an integer, got {value!r}")
+            out[key] = value
         else:
-            _num(params, key, "scenario_params", errors,
-                 ge=0.0 if key == "drop_height" else None)
-    return errors
+            out[key] = _num(params, key, "scenario_params", errors,
+                            ge=0.0 if key == "drop_height" else None)
+    return out
 
 
-def _experiment_errors(doc, base_dir: Path) -> list[str]:
+def _has_steps(duration: float, dt: float) -> bool:
+    """At least one physics step, and a finite number of them."""
+    return math.isfinite(duration / dt) and step_count(duration, dt) >= 1
+
+
+def _parse_custom(doc: dict, name: str, robot: Robot | None, errors) -> ScenarioScript | None:
+    """The scripted scenario; every width and joint index is checked against ``robot``."""
+    n_errors = len(errors)
+    n_joints = robot.model.n_joints if robot is not None else None
+    n_muscles = robot.model.n_muscles if robot is not None else None
+    dt = ScenarioScript.dt
+    duration = _num(doc, "duration", "custom", errors, gt=0.0)
+    if duration is not None and not _has_steps(duration, dt):
+        errors.append(f"custom.duration: must give at least one physics step of {dt} s "
+                      f"and a finite number of them, got {duration}")
+        duration = None
+    theta0 = _numlist(doc, "theta0", "custom", errors, joints=n_joints)
+    pretension = _num(doc, "pretension_mm", "custom", errors, ge=0.0, required=False)
+    # a jitter wider than the run only clamps more events to its ends
+    jitter = _num(doc, "time_jitter", "custom", errors, ge=0.0, le=duration, required=False)
+
+    # an event after the last step's time would never apply
+    last = None if duration is None else last_event_time(duration, dt)
+
+    def event_time(item, p):
+        t = _num(item, "t", p, errors, ge=0.0)
+        if None not in (t, last) and t > last:
+            errors.append(f"{p}.t: must be within [0, {last:.6g}], the last step, got {t}")
+        return t
+
+    impulses = []
+    for p, imp in _entries(doc, "impulses", "custom", errors):
+        t = event_time(imp, p)
+        joint = imp.get("joint")
+        limit = math.inf if n_joints is None else n_joints
+        if not (isinstance(joint, int) and not isinstance(joint, bool) and 0 <= joint < limit):
+            errors.append(f"{p}.joint: must be a joint index of the robot, "
+                          f"0 <= joint < {limit}, got {joint!r}")
+        impulses.append(Impulse(t=t, joint=joint, delta_omega=_num(imp, "delta_omega", p, errors)))
+    payloads = [
+        PayloadSet(t=event_time(pay, p), mass=_num(pay, "mass", p, errors, ge=0.0))
+        for p, pay in _entries(doc, "payloads", "custom", errors)
+    ]
+
+    trajectory = None
+    traj = doc.get("trajectory")
+    if traj is not None and not isinstance(traj, dict):
+        errors.append("custom.trajectory: must be a mapping")
+    elif traj is not None:
+        times = _numlist(traj, "times", "custom.trajectory", errors)
+        if times is not None and any(b <= a for a, b in zip(times, times[1:])):
+            errors.append("custom.trajectory.times: must be strictly increasing")
+        refs = traj.get("refs")
+        if not (isinstance(refs, list) and refs and all(
+            isinstance(r, list) and all(_is_number(x) for x in r) for r in refs
+        )):
+            errors.append("custom.trajectory.refs: must be a non-empty list of rows of finite numbers")
+        elif any(len(r) != (n_muscles or len(refs[0])) for r in refs):
+            errors.append(f"custom.trajectory.refs: expected {n_muscles or len(refs[0])} values "
+                          "per row, one per muscle of the robot")
+        elif times is not None and len(refs) != len(times):
+            errors.append("custom.trajectory.refs: need exactly one row per time")
+        elif times is not None:
+            trajectory = RefTrajectory(
+                times=tuple(times), refs=tuple(tuple(float(v) for v in r) for r in refs)
+            )
+    if len(errors) > n_errors:
+        return None
+    return ScenarioScript(
+        name=name,
+        duration=duration,
+        theta0=np.array(theta0),
+        pretension_mm=0.0 if pretension is None else pretension,
+        impulses=tuple(impulses),
+        payload_events=tuple(payloads),
+        trajectory=trajectory,
+        time_jitter=jitter or 0.0,
+    )
+
+
+def _parse_experiment(doc, base_dir: Path) -> Experiment:
     errors = _head_errors(doc, "experiment")
     if not isinstance(doc, dict):
-        return errors
-
+        raise ConfigError(errors)
     scenario = doc.get("scenario")
     valid = EXPERIMENT_NAMES + ("custom",)
     if scenario not in valid:
         errors.append(f"scenario: must be one of {', '.join(valid)}, got {scenario!r}")
+    robot = _robot_named(doc.get("robot"), base_dir, errors)
+    n_joints = robot.model.n_joints if robot is not None else None
+    if scenario in EXPERIMENT_NAMES and n_joints not in (None, BUILTIN_JOINTS):
+        errors.append(f"robot: the built-in {scenario} needs a {BUILTIN_JOINTS}-joint robot, "
+                      f"got {n_joints} joints")
 
-    robot = doc.get("robot")
-    if robot is not None:
-        if not isinstance(robot, str):
-            errors.append("robot: must be a path string")
-        elif not (base_dir / robot).exists():
-            errors.append(f"robot: file not found: {robot}")
+    reflex = _mapping(doc, "reflex", errors)
+    reflex_on = _switch(reflex, "reflex", errors)
+    reflex_values = {
+        k: _num(reflex, k, "reflex", errors, gt=0.0, required=False)
+        for k in ("c_stretch", "dl_stretch", "dt_loose")
+    }
 
-    reflex = doc.get("reflex", {})
-    if not isinstance(reflex, dict):
-        errors.append("reflex: must be a mapping")
-    else:
-        if "enabled" in reflex and not isinstance(reflex["enabled"], bool):
-            errors.append("reflex.enabled: must be true or false")
-        for key in ("c_stretch", "dl_stretch", "dt_loose"):
-            _num(reflex, key, "reflex", errors, gt=0.0, required=False)
+    fb = _mapping(doc, "feedback", errors)
+    feedback_on = _switch(fb, "feedback", errors)
+    dt = ScenarioScript.dt
+    # at most one feedback tick per physics step, and a finite number of steps per tick
+    rate = _num(fb, "rate_hz", "feedback", errors, gt=0.0, le=1.0 / dt, required=False)
+    if rate is not None and (rate * dt == 0.0 or math.isinf(1.0 / (rate * dt))):
+        errors.append(f"feedback.rate_hz: too small to give a finite tick period, got {rate}")
+    theta_ref = _numlist(fb, "theta_ref", "feedback", errors, joints=n_joints, required=False)
+    feedback_values = {
+        "alpha": _num(fb, "alpha", "feedback", errors, gt=0.0, le=1.0, required=False),
+        "rate_hz": rate,
+        "theta_ref": None if theta_ref is None else np.array(theta_ref),
+    }
 
-    fb = doc.get("feedback", {})
-    if not isinstance(fb, dict):
-        errors.append("feedback: must be a mapping")
-    else:
-        if "enabled" in fb and not isinstance(fb["enabled"], bool):
-            errors.append("feedback.enabled: must be true or false")
-        _num(fb, "alpha", "feedback", errors, gt=0.0, le=1.0, required=False)
-        # at most one feedback tick per physics step
-        _num(fb, "rate_hz", "feedback", errors, gt=0.0, le=1.0 / ScenarioScript.dt,
-             required=False)
-        if "theta_ref" in fb and fb["theta_ref"] is not None:
-            _numlist(fb, "theta_ref", "feedback", errors)
+    sweep = _parse_sweep(doc.get("sweep"), errors)
 
-    sweep = doc.get("sweep")
-    if sweep is not None and sweep != "paper":
-        if not isinstance(sweep, list) or not sweep:
-            errors.append("sweep: must be 'paper' or a non-empty list of run mappings")
-        else:
-            for i, entry in enumerate(sweep):
-                if not isinstance(entry, dict):
-                    errors.append(f"sweep[{i}]: must be a mapping")
-                else:
-                    _variant_from(entry, i, errors)
-
-    params = doc.get("scenario_params", {})
-    if not isinstance(params, dict):
-        errors.append("scenario_params: must be a mapping")
-    elif scenario in EXPERIMENT_FUNCTIONS:
-        errors.extend(_scenario_params_errors(scenario, params))
+    params = _mapping(doc, "scenario_params", errors)
+    if scenario in EXPERIMENT_NAMES:
+        params = _scenario_params(scenario, params, errors)
     elif scenario == "custom" and params:
         errors.append("scenario_params: only a built-in scenario takes parameters; "
                       "a custom script sets its values in the custom block")
 
+    name = str(doc.get("name", scenario))
     custom = doc.get("custom")
-    if scenario == "custom":
-        if not isinstance(custom, dict):
-            errors.append("custom: required mapping when scenario is 'custom'")
-        else:
-            errors.extend(_custom_errors(custom))
+    script = None
+    if scenario == "custom" and not isinstance(custom, dict):
+        errors.append("custom: required mapping when scenario is 'custom'")
+    elif scenario == "custom":
+        script = _parse_custom(custom, name, robot, errors)
     elif custom is not None and not isinstance(custom, dict):
         errors.append("custom: must be a mapping")
-    return errors
+    if errors:
+        raise ConfigError(errors)
 
-
-def _experiment_from_doc(doc, path: Path) -> ExperimentConfig:
-    base_dir = path.parent
-    reflex = doc.get("reflex", {}) or {}
-    fb = doc.get("feedback", {}) or {}
-    sweep = doc.get("sweep")
-    if isinstance(sweep, list):
-        errs: list[str] = []
-        sweep = tuple(_variant_from(d, i, errs) for i, d in enumerate(sweep))
-    theta_ref = fb.get("theta_ref")
-    return ExperimentConfig(
-        name=str(doc.get("name", doc.get("scenario"))),
-        scenario=doc["scenario"],
-        base_dir=base_dir,
-        robot_path=(base_dir / doc["robot"]) if doc.get("robot") else None,
-        scenario_params=dict(doc.get("scenario_params", {})),
-        reflex_enabled=reflex.get("enabled"),
-        c_stretch=reflex.get("c_stretch"),
-        dl_stretch=reflex.get("dl_stretch"),
-        dt_loose=reflex.get("dt_loose"),
-        feedback_enabled=fb.get("enabled"),
-        alpha=fb.get("alpha"),
-        rate_hz=fb.get("rate_hz"),
-        theta_ref=tuple(theta_ref) if theta_ref else None,
-        sweep=sweep,
-        custom=doc.get("custom"),
+    if script is not None:
+        base = ExperimentDef(
+            name=name,
+            scenario=script,
+            feedback=None,
+            analysis=AnalysisParams(theta_ref=tuple(theta_ref or script.theta0.tolist())),
+            default_variant=Variant("reflex-off", False),
+            paper_sweep=(),
+        )
+    else:
+        base = builtin_experiments(robot, **{scenario: params})[scenario]
+        if not _has_steps(base.scenario.duration, base.scenario.dt):
+            raise ConfigError([f"scenario_params: they make {scenario} last "
+                               f"{base.scenario.duration} s, which gives no physics step"])
+    variant = replace(base.default_variant, **{
+        k: reflex_values[k] for k in ("dl_stretch", "dt_loose") if reflex_values[k] is not None
+    })
+    if reflex_on is not None:
+        variant = variant.switched(reflex_on)
+    feedback = replace(
+        base.feedback or FeedbackParams(theta_ref=base.scenario.theta0.copy()),
+        **{k: v for k, v in feedback_values.items() if v is not None},
     )
-
-
-def custom_scenario(cfg: ExperimentConfig, robot: Robot) -> ScenarioScript:
-    """Build the scripted scenario from a validated custom experiment config."""
-    doc = cfg.custom
-    theta0 = np.array(doc["theta0"], dtype=float)
-    if len(theta0) != robot.model.n_joints:
-        raise ConfigError(
-            [f"custom.theta0: expected {robot.model.n_joints} joints, got {len(theta0)}"]
-        )
-    n_m = robot.model.n_muscles
-    traj = None
-    if doc.get("trajectory"):
-        refs = doc["trajectory"]["refs"]
-        if any(len(r) != n_m for r in refs):
-            raise ConfigError(
-                [f"custom.trajectory.refs: expected {n_m} muscles per row"]
-            )
-        traj = RefTrajectory(
-            times=tuple(float(t) for t in doc["trajectory"]["times"]),
-            refs=tuple(tuple(float(v) for v in r) for r in refs),
-        )
-    bad_joint = [
-        i for i, imp in enumerate(doc.get("impulses", []))
-        if imp["joint"] >= robot.model.n_joints
-    ]
-    if bad_joint:
-        raise ConfigError(
-            [f"custom.impulses[{i}].joint: no such joint" for i in bad_joint]
-        )
-    return ScenarioScript(
-        name=cfg.name,
-        duration=float(doc["duration"]),
-        theta0=theta0,
-        pretension_mm=float(doc.get("pretension_mm", 0.0)),
-        impulses=tuple(
-            Impulse(t=float(i["t"]), joint=int(i["joint"]), delta_omega=float(i["delta_omega"]))
-            for i in doc.get("impulses", [])
-        ),
-        payload_events=tuple(
-            PayloadSet(t=float(p["t"]), mass=float(p["mass"]))
-            for p in doc.get("payloads", [])
-        ),
-        trajectory=traj,
-        time_jitter=float(doc.get("time_jitter", 0.0)),
+    if feedback_on is None:
+        feedback_on = base.feedback is not None
+    exp = replace(
+        base,
+        default_variant=variant,
+        # a custom script compares reflex off with the reflex as the file sets it
+        paper_sweep=(variant.switched(False), variant.switched(True)) if script else base.paper_sweep,
+        c_stretch=base.c_stretch if reflex_values["c_stretch"] is None else reflex_values["c_stretch"],
+        feedback=feedback if feedback_on else None,
     )
+    return Experiment(scenario, exp, robot, feedback, sweep)
 
 
 # ---- entry points ----
 
 
-def _read_doc(path) -> tuple[dict | None, list[str]]:
+def _read_doc(path):
     p = Path(path)
-    if not p.exists():
-        return None, [f"{p}: file not found"]
+    if not p.is_file():
+        raise ConfigError([f"{p}: file not found"])
     try:
-        doc = yaml.safe_load(p.read_text())
+        return yaml.load(p.read_bytes(), Loader=_LOADER)
     except yaml.YAMLError as e:
-        return None, [f"{p}: invalid YAML: {e}"]
-    return doc, []
+        raise ConfigError([f"{p}: invalid YAML: {e}"]) from None
 
 
 def validate_file(path) -> list[str]:
-    """All schema problems in the file; empty list means valid."""
-    doc, errors = _read_doc(path)
-    if errors:
-        return errors
-    if not isinstance(doc, dict):
-        return [f"top level: must be a mapping, got {type(doc).__name__}"]
-    kind = doc.get("kind")
-    if kind == "robot":
-        return _robot_errors(doc)
-    if kind == "experiment":
-        return _experiment_errors(doc, Path(path).parent)
-    return _head_errors(doc, None)
+    """Every problem in the file; an empty list means it loads (an experiment: runs)."""
+    try:
+        doc = _read_doc(path)
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if kind == "robot":
+            _parse_robot(doc)
+        elif kind == "experiment":
+            _parse_experiment(doc, Path(path).parent)
+        else:
+            return _head_errors(doc, None)
+    except ConfigError as e:
+        return e.errors
+    return []
 
 
 def load_robot(path) -> Robot:
-    doc, errors = _read_doc(path)
-    errors = errors or _robot_errors(doc)
-    if errors:
-        raise ConfigError(errors)
-    return _robot_from_doc(doc)
+    return _parse_robot(_read_doc(path))
 
 
-def load_experiment(path) -> ExperimentConfig:
-    doc, errors = _read_doc(path)
-    errors = errors or _experiment_errors(doc, Path(path).parent)
-    if errors:
-        raise ConfigError(errors)
-    return _experiment_from_doc(doc, Path(path))
+def load_experiment(path) -> Experiment:
+    return _parse_experiment(_read_doc(path), Path(path).parent)
+
+
+def builtin_experiment(name: str) -> Experiment:
+    """A built-in as it ships: what a file naming only its scenario parses to."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "experiment", "scenario": name}
+    return _parse_experiment(doc, Path())
 
 
 def default_robot_path() -> Path:

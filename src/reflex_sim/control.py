@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arm import ArmModel, gravity_torques, muscle_lengths_from_joints
+from .errors import ConfigError
 from .muscles import elongation_from_tension
 
 __all__ = [
@@ -74,8 +75,9 @@ def loaded_hold_refs(
             continue
         contrib = model.G[j] * need  # positive where more tension helps
         m = int(np.argmax(contrib))
-        if contrib[m] <= 0.0:
-            raise ValueError(f"no muscle on joint {j} can oppose gravity there")
+        if contrib[m] <= 0.0:  # a property of the robot file, so reported as one
+            raise ConfigError([f"robot: no muscle on joint {j} can hold posture "
+                               f"{theta.tolist()} against gravity"])
         f_target = f_pre[m] + abs(need) * 1000.0 / abs(model.G[j, m])
         extra[m] += elongation_from_tension(f_target, k[m]) - pretension_mm
     return muscle_lengths_from_joints(theta, model) - pretension_mm - extra

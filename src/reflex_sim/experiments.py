@@ -22,7 +22,7 @@ tuned once against the acceptance checks and frozen here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,11 @@ __all__ = [
     "PRETENSION_MM",
     "EXPERIMENT_NAMES",
     "EXPERIMENT_FUNCTIONS",
+    "BUILTIN_JOINTS",
 ]
+
+# every built-in poses, strikes and lifts the two-joint arm (shoulder, elbow)
+BUILTIN_JOINTS = 2
 
 # co-contraction: refs are shortened by this much, giving every muscle a
 # working tension well above slack so the trigger threshold is reachable
@@ -76,6 +80,12 @@ class Variant:
     reflex: bool
     dl_stretch: float = ReflexParams.dl_stretch
     dt_loose: float = ReflexParams.dt_loose
+
+    def switched(self, on: bool) -> Variant:
+        """This variant with the reflex switched on or off; a switch renames it."""
+        if on == self.reflex:
+            return self
+        return replace(self, reflex=on, label="reflex-on" if on else "reflex-off")
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def update(
     for m in fires:
         fired_at[m] = t
         g = group_of[m]
-        group_until[g] = max(group_until[g], t + dt_loose)
+        group_until[g] = t + dt_loose
         events.append((m, t))
 
     offsets = []

@@ -5,12 +5,18 @@ stays fast; the built-in experiments get their own coverage in the
 acceptance suite.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflex_sim.cli import main
 from reflex_sim.config import default_robot_path
+from reflex_sim.scenario import last_event_time
 
 
 def write_yaml(path, doc):
@@ -39,6 +45,36 @@ def mini_doc(duration=0.5, reflex=True, impulse=3.0, jitter=0.0, robot=None):
     if robot is not None:
         doc["robot"] = robot
     return doc
+
+
+def default_robot_doc():
+    return yaml.safe_load(default_robot_path().read_text())
+
+
+def three_joint_robot_doc():
+    """The default arm plus a wrist joint driven by one more antagonist pair."""
+    doc = default_robot_doc()
+    doc["joints"].append(dict(doc["joints"][1], name="wrist", inertia=0.02, limit_lo=-1.0,
+                              limit_hi=0.05))
+    doc["links"].append({"mass": 0.3, "length": 0.08, "com": 0.04})
+    for m in doc["muscles"]:
+        m["moment_arms"].append(0.0)
+    for name, arm in (("wrist_flexor", -20.0), ("wrist_extensor", 20.0)):
+        doc["muscles"].append(dict(doc["muscles"][2], name=name, l0=150.0,
+                                   moment_arms=[0.0, 0.0, arm]))
+    doc["groups"].append(["wrist_flexor", "wrist_extensor"])
+    return doc
+
+
+def write_robots(directory):
+    """Robot files the configs below name: a 3-joint arm and two the built-ins cannot use."""
+    write_yaml(directory / "robot3.yaml", three_joint_robot_doc())
+    bad = default_robot_doc()
+    bad["joints"][0]["inertia"] = -1.0
+    write_yaml(directory / "negative_inertia.yaml", bad)
+    weak = default_robot_doc()
+    weak["muscles"][2]["moment_arms"] = [0.0, 50.0]  # both elbow muscles extend
+    write_yaml(directory / "no_elbow_flexor.yaml", weak)
 
 
 @pytest.fixture
@@ -259,7 +295,18 @@ def _custom_doc(section, key, value):
     return doc
 
 
-# configs that validate once accepted and run then ended in a traceback
+def _mini_with(**custom):
+    doc = mini_doc()
+    doc["custom"].update(custom)
+    return doc
+
+
+def _builtin_on(scenario, robot):
+    return {"schema_version": 1, "kind": "experiment", "scenario": scenario, "robot": robot}
+
+
+# configs that validate once accepted, or crashed on, and that run could not run:
+# it stopped with a traceback or with exit 2; write_robots makes the robot files
 RUN_CRASHERS = [
     pytest.param("custom", _custom_doc("feedback", "rate_hz", 5000.0), "feedback.rate_hz",
                  id="feedback-rate-above-physics-rate"),
@@ -271,11 +318,40 @@ RUN_CRASHERS = [
                  id="negative-drop-height"),
     pytest.param("e3", _builtin_doc("e3", drop_heigth=0.1), "scenario_params.drop_heigth",
                  id="unknown-scenario-param"),
+    pytest.param("e4", _builtin_doc("e4", t_ramp=-100.0), "scenario_params",
+                 id="scenario-params-giving-no-steps"),
+    pytest.param("e2", _builtin_on("e2", "robot3.yaml"), "robot", id="builtin-on-3-joint-robot"),
+    pytest.param("custom", mini_doc(robot="negative_inertia.yaml"), "joints[0].inertia",
+                 id="invalid-robot-file"),
+    pytest.param("e1", _builtin_on("e1", "no_elbow_flexor.yaml"), "robot: no muscle on joint 1",
+                 id="builtin-on-robot-that-cannot-hold-the-lift"),
+    pytest.param("custom", _mini_with(theta0=[0.0, -1.0, 0.0]), "custom.theta0",
+                 id="theta0-wider-than-robot"),
+    pytest.param("custom", _mini_with(impulses=[{"t": 0.1, "joint": 5, "delta_omega": 1.0}]),
+                 "custom.impulses[0].joint", id="impulse-on-missing-joint"),
+    pytest.param("custom", _mini_with(trajectory={"times": [0.1, 0.2],
+                                                  "refs": [[250.0] * 3, [250.0] * 3]}),
+                 "custom.trajectory.refs", id="trajectory-rows-narrower-than-muscles"),
+    pytest.param("custom", _custom_doc("feedback", "theta_ref", [0.0, -1.0, 0.0]),
+                 "feedback.theta_ref", id="theta-ref-wider-than-robot"),
+    pytest.param("custom", _mini_with(duration=0.0004, impulses=[]), "custom.duration",
+                 id="duration-below-half-a-step"),
+    pytest.param("custom", _mini_with(duration=0.0005, impulses=[]), "custom.duration",
+                 id="duration-of-half-a-step"),
+    pytest.param("custom", _mini_with(duration=1e306, impulses=[]), "custom.duration",
+                 id="duration-past-a-finite-step-count"),
+    pytest.param("custom", _mini_with(impulses=5), "custom.impulses", id="impulses-not-a-list"),
+    pytest.param("custom", mini_doc(robot=""), "robot", id="empty-robot-path"),
+    pytest.param("custom", _mini_with(time_jitter=1e308), "custom.time_jitter",
+                 id="jitter-wider-than-the-run"),
+    pytest.param("custom", _custom_doc("feedback", "rate_hz", 1e-320), "feedback.rate_hz",
+                 id="feedback-period-past-float-range"),
 ]
 
 
 @pytest.mark.parametrize("exp, doc, field", RUN_CRASHERS)
 def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, exp, doc, field):
+    write_robots(tmp_path)
     cfg = write_yaml(tmp_path / "bad.yaml", doc)
     assert main(["validate", str(cfg)]) == 2
     assert field in capsys.readouterr().err
@@ -297,6 +373,7 @@ def test_check_on_custom_exits_2(tmp_path, mini_cfg, capsys):
     )
     assert rc == 2
     assert "built-in" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---- sweeps ----
@@ -393,3 +470,98 @@ def test_metrics_without_summary_uses_defaults(tmp_path, mini_cfg, capsys):
     out = capsys.readouterr().out
     assert "peak_tension = " in out
     assert "max_deviation_joint_0" not in out  # no stored theta_ref to measure against
+
+
+# ---- the contract: what validate accepts, run runs ----
+#
+# Custom configs on the default arm (2 joints, 4 muscles) and on the 3-joint
+# arm (6 muscles), with widths drawn to match either robot, joint indices
+# past the end, durations down to below half a physics step, and events
+# anywhere in or after the run.
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+def _rows(width, values):
+    return st.lists(values, min_size=width, max_size=width)
+
+
+ROBOTS = {None: (2, 4), "robot3.yaml": (3, 6)}  # robot: joints, muscles
+# one of these is wrong in about half the drawn configs; the rest are valid
+FAULTS = ("duration", "theta0", "theta_ref", "joint", "event_time", "mass", "jitter", "refs")
+
+
+@st.composite
+def contract_configs(draw):
+    robot = draw(st.sampled_from(list(ROBOTS)))
+    n_joints, n_muscles = ROBOTS[robot]
+    fault = draw(st.sampled_from((None,) * len(FAULTS) + FAULTS))
+    duration = draw(st.sampled_from([0.0006, 0.001, 0.0015]) | st.floats(0.001, 0.2, **finite))
+    t = st.floats(0.0, last_event_time(duration, 0.001), **finite)
+
+    def angles(wrong):
+        return draw(_rows(5 - n_joints if wrong else n_joints, st.floats(-1.5, 0.0, **finite)))
+
+    custom = {
+        "duration": draw(st.sampled_from([0.0004, 0.0005])) if fault == "duration" else duration,
+        "theta0": angles(fault == "theta0"),
+        "pretension_mm": draw(st.floats(0.0, 12.0, **finite)),
+        "impulses": draw(st.lists(st.fixed_dictionaries({
+            "t": t, "joint": st.integers(0, n_joints - 1),
+            "delta_omega": st.floats(-5.0, 5.0, **finite),
+        }), min_size=fault in ("joint", "event_time"), max_size=3)),
+        "payloads": draw(st.lists(st.fixed_dictionaries({
+            "t": t, "mass": st.floats(0.0, 6.0, **finite),
+        }), min_size=fault == "mass", max_size=2)),
+        "time_jitter": draw(st.floats(0.0, duration, **finite)),
+    }
+    if fault == "joint":
+        custom["impulses"][0]["joint"] = n_joints
+    if fault == "event_time":
+        custom["impulses"][0]["t"] = draw(st.floats(duration, 0.25, **finite))
+    if fault == "mass":
+        custom["payloads"][0]["mass"] = -1.0
+    if fault == "jitter":
+        custom["time_jitter"] = 2 * duration
+    if fault == "refs" or draw(st.booleans()):
+        times = draw(st.lists(st.floats(0.0, 0.25, **finite), min_size=1, max_size=3,
+                              unique=True).map(sorted))
+        width = n_muscles - (fault == "refs")
+        custom["trajectory"] = {
+            "times": times,
+            "refs": draw(_rows(len(times), _rows(width, st.floats(230.0, 310.0, **finite)))),
+        }
+    doc = {
+        "schema_version": 1, "kind": "experiment", "name": "prop", "scenario": "custom",
+        "reflex": {"enabled": draw(st.booleans()),
+                   "dl_stretch": draw(st.floats(0.5, 20.0, **finite)),
+                   "dt_loose": draw(st.floats(0.01, 2.0, **finite))},
+        "feedback": {"enabled": draw(st.booleans()),
+                     "alpha": draw(st.floats(0.01, 1.0, **finite)),
+                     "rate_hz": draw(st.floats(0.5, 1000.0, **finite))},
+        "custom": custom,
+    }
+    if fault == "theta_ref" or draw(st.booleans()):
+        doc["feedback"]["theta_ref"] = angles(fault == "theta_ref")
+    if robot is not None:
+        doc["robot"] = robot
+    return doc, draw(st.integers(0, 2**31 - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(contract_configs())
+def test_validate_accepts_only_what_run_can_run(case):
+    doc, seed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_robots(tmp)
+        cfg = str(write_yaml(tmp / "prop.yaml", doc))
+        out = tmp / "out"
+        validated = main(["validate", cfg])
+        with np.errstate(all="ignore"):
+            ran = main(["run", "custom", "--config", cfg, "--seed", str(seed), "--out", str(out)])
+        if validated == 0:
+            assert ran in (0, 3)
+        else:
+            assert (validated, ran) == (2, 2)
+            assert not out.exists()

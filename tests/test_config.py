@@ -5,7 +5,6 @@ import pytest
 import yaml
 
 from reflex_sim.config import (
-    custom_scenario,
     default_robot,
     load_experiment,
     load_robot,
@@ -111,6 +110,22 @@ class TestShippedDefaults:
                 assert validate_file(str(entry)) == [], entry.name
 
 
+    def test_both_yaml_loaders_read_the_same_documents(self):
+        # the loader is libyaml's parser under PyYAML's own resolver and constructor
+        import importlib.resources as res
+
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML is built without libyaml")
+        data = res.files("reflex_sim") / "data"
+        shipped = [entry for entry in data.iterdir() if entry.name.endswith(".yaml")]
+        assert shipped
+        for entry in shipped:
+            text = entry.read_bytes()
+            fast, plain = (yaml.load(text, Loader=loader)
+                           for loader in (yaml.CSafeLoader, yaml.SafeLoader))
+            assert repr(fast) == repr(plain), entry.name  # repr tells 1 from 1.0
+
+
 class TestRobotValidation:
     def test_valid_dict_round_trips(self, tmp_path):
         robot = load_robot(_write(tmp_path, "r.yaml", _robot_dict()))
@@ -156,9 +171,9 @@ class TestRobotValidation:
 
 class TestExperimentValidation:
     def test_valid_custom_experiment(self, tmp_path):
-        cfg = load_experiment(_write(tmp_path, "e.yaml", _experiment_dict()))
-        assert cfg.scenario == "custom"
-        sc = custom_scenario(cfg, default_robot())
+        parsed = load_experiment(_write(tmp_path, "e.yaml", _experiment_dict()))
+        assert parsed.scenario == "custom"
+        sc = parsed.exp.scenario
         assert sc.duration == 2.0
         assert sc.impulses[0].joint == 1
         assert sc.payload_events[0].mass == 1.5
@@ -203,9 +218,10 @@ class TestExperimentValidation:
     def test_theta0_arity_checked_against_robot(self, tmp_path):
         d = _experiment_dict()
         d["custom"]["theta0"] = [0.0]
-        cfg = load_experiment(_write(tmp_path, "e.yaml", d))
+        path = _write(tmp_path, "e.yaml", d)
         with pytest.raises(ConfigError):
-            custom_scenario(cfg, default_robot())
+            load_experiment(path)
+        assert any(e.startswith("custom.theta0:") for e in validate_file(path))
 
     def test_sweep_inline_list(self, tmp_path):
         d = _experiment_dict()
@@ -213,10 +229,10 @@ class TestExperimentValidation:
             {"label": "off", "reflex": False},
             {"label": "a", "reflex": True, "dl_stretch": 10.0, "dt_loose": 1.0},
         ]
-        cfg = load_experiment(_write(tmp_path, "e.yaml", d))
-        assert len(cfg.sweep) == 2
-        assert cfg.sweep[0].reflex is False
-        assert cfg.sweep[1].dt_loose == 1.0
+        sweep = load_experiment(_write(tmp_path, "e.yaml", d)).sweep
+        assert len(sweep) == 2
+        assert sweep[0].reflex is False
+        assert sweep[1].dt_loose == 1.0
 
     def test_sweep_bad_values(self, tmp_path):
         d = _experiment_dict()
