@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
-from .acceptance import check_experiment, run_variant
+from .acceptance import check_experiment
 from .config import Experiment, builtin_experiment, load_experiment, validate_file
 from .errors import ConfigError, SimulationDiverged
 from .experiments import EXPERIMENT_NAMES, ExperimentDef, Variant
@@ -37,7 +38,7 @@ from .metrics import (
     report_lines,
     write_summary,
 )
-from .robot import Robot
+from .scenario import run_each
 from .telemetry import TelemetryLog
 
 __all__ = ["main"]
@@ -130,13 +131,6 @@ def _resolve_sweep(exp: ExperimentDef, sweep_arg: str) -> tuple[Variant, ...]:
 # ---- execution ----
 
 
-def _run_one(exp: ExperimentDef, robot: Robot, variant: Variant, out_dir: Path) -> None:
-    log = run_variant(exp, robot, variant)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log.to_csv(out_dir / "log.csv")
-    write_summary(compute_report(log, exp.analysis), out_dir / "metrics.txt")
-
-
 def _write_comparison(exp_dir: Path, variants: tuple[Variant, ...]) -> None:
     rows = []
     keys: list[str] | None = None
@@ -156,24 +150,32 @@ def _cmd_run(args) -> int:
     parsed = _experiment(args)
     exp, robot = _switched(parsed, args), parsed.robot
     exp_dir = Path(args.out) / exp.name
+    variants = _resolve_sweep(exp, args.sweep) if args.sweep else (exp.default_variant,)
+    out_dirs = [exp_dir / v.label for v in variants] if args.sweep else [exp_dir]
+    written = []
 
-    if args.sweep:
-        variants = _resolve_sweep(exp, args.sweep)
-        for v in variants:
-            _run_one(exp, robot, v, exp_dir / v.label)
-        _write_comparison(exp_dir, variants)
-        print(f"wrote {len(variants)} runs under {exp_dir}")
-    else:
-        _run_one(exp, robot, exp.default_variant, exp_dir)
-        print(f"wrote {exp_dir / 'log.csv'}")
+    def write(out_dir: Path, log: TelemetryLog) -> None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        log.to_csv(out_dir / "log.csv")
+        write_summary(compute_report(log, exp.analysis), out_dir / "metrics.txt")
+        written.append(out_dir)
+        if len(written) < len(out_dirs):
+            return
+        if args.sweep:
+            _write_comparison(exp_dir, variants)
+            print(f"wrote {len(variants)} runs under {exp_dir}")
+        else:
+            print(f"wrote {exp_dir / 'log.csv'}")
 
-    if args.check:
-        result = check_experiment(args.experiment, robot)
-        status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.details}")
-        if not result.passed:
-            return EXIT_ACCEPTANCE
-    return EXIT_OK
+    # the check makes its runs in one pass with these, so it reuses what was written
+    jobs = [(exp.simulation(v, robot), partial(write, d)) for v, d in zip(variants, out_dirs)]
+    if not args.check:
+        run_each(jobs)
+        return EXIT_OK
+    result = check_experiment(args.experiment, robot, jobs)
+    status = "PASS" if result.passed else "FAIL"
+    print(f"{status} {result.name}: {result.details}")
+    return EXIT_OK if result.passed else EXIT_ACCEPTANCE
 
 
 def _cmd_validate(args) -> int:

@@ -50,6 +50,7 @@ from .scenario import (
     last_event_time,
     step_count,
 )
+from .telemetry import MAX_LOG_BYTES, row_bytes
 
 __all__ = [
     "Experiment",
@@ -345,9 +346,21 @@ def _scenario_params(scenario: str, params: dict, errors) -> dict:
     return out
 
 
-def _has_steps(duration: float, dt: float) -> bool:
-    """At least one physics step, and a finite number of them."""
-    return math.isfinite(duration / dt) and step_count(duration, dt) >= 1
+def _max_steps(robot: Robot | None) -> float:
+    """The most physics steps a run may make: its log must fit in MAX_LOG_BYTES."""
+    if robot is None:
+        return math.inf
+    return MAX_LOG_BYTES // row_bytes(robot.model.n_joints, robot.model.n_muscles)
+
+
+def _has_steps(duration: float, dt: float, robot: Robot | None) -> bool:
+    """At least one physics step, and no more than a log may hold."""
+    return math.isfinite(duration / dt) and 1 <= step_count(duration, dt) <= _max_steps(robot)
+
+
+def _steps_needed(dt: float, robot: Robot | None) -> str:
+    return (f"at least one and at most {_max_steps(robot)} physics steps of {dt} s "
+            f"(a log may take {MAX_LOG_BYTES} bytes)")
 
 
 def _parse_custom(doc: dict, name: str, robot: Robot | None, errors) -> ScenarioScript | None:
@@ -357,9 +370,8 @@ def _parse_custom(doc: dict, name: str, robot: Robot | None, errors) -> Scenario
     n_muscles = robot.model.n_muscles if robot is not None else None
     dt = ScenarioScript.dt
     duration = _num(doc, "duration", "custom", errors, gt=0.0)
-    if duration is not None and not _has_steps(duration, dt):
-        errors.append(f"custom.duration: must give at least one physics step of {dt} s "
-                      f"and a finite number of them, got {duration}")
+    if duration is not None and not _has_steps(duration, dt, robot):
+        errors.append(f"custom.duration: must give {_steps_needed(dt, robot)}, got {duration}")
         duration = None
     theta0 = _numlist(doc, "theta0", "custom", errors, joints=n_joints)
     pretension = _num(doc, "pretension_mm", "custom", errors, ge=0.0, required=False)
@@ -492,9 +504,10 @@ def _parse_experiment(doc, base_dir: Path) -> Experiment:
         )
     else:
         base = builtin_experiments(robot, **{scenario: params})[scenario]
-        if not _has_steps(base.scenario.duration, base.scenario.dt):
-            raise ConfigError([f"scenario_params: they make {scenario} last "
-                               f"{base.scenario.duration} s, which gives no physics step"])
+        duration, dt = base.scenario.duration, base.scenario.dt
+        if not _has_steps(duration, dt, robot):
+            raise ConfigError([f"scenario_params: they make {scenario} last {duration} s; "
+                               f"a run needs {_steps_needed(dt, robot)}"])
     variant = replace(base.default_variant, **{
         k: reflex_values[k] for k in ("dl_stretch", "dt_loose") if reflex_values[k] is not None
     })

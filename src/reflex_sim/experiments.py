@@ -31,7 +31,7 @@ from .control import FeedbackParams, loaded_hold_refs
 from .metrics import AnalysisParams
 from .reflex import ReflexParams
 from .robot import Robot
-from .scenario import Impulse, PayloadSet, RefTrajectory, ScenarioScript
+from .scenario import Impulse, PayloadSet, RefTrajectory, ScenarioScript, Simulation
 
 __all__ = [
     "Variant",
@@ -107,6 +107,9 @@ class ExperimentDef:
             dt_loose=variant.dt_loose,
             groups=groups,
         )
+
+    def simulation(self, variant: Variant, robot: Robot) -> Simulation:
+        return Simulation(self.scenario, robot, self.reflex_params(variant, robot.groups), self.feedback)
 
 
 def _impacts(joint: int, domega: float, count: int, t0: float, spacing: float, alternate: bool):

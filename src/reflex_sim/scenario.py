@@ -3,12 +3,15 @@
 A scenario is a declarative script: initial posture, co-contraction
 pretension, scripted events (joint-velocity impulses, payload changes, a
 piecewise-linear reference trajectory) and which controllers run.  ``run``
-executes it tick by tick and returns the telemetry log.
+executes it tick by tick and returns the telemetry log.  ``run_family`` makes
+the runs of one scenario that differ only in their reflex settings, forking
+each reflex-on run from the reflex-off run at its first fire, and
+``run_each`` makes each distinct simulation of a list once.
 
 Per-step pipeline, in contract order:
 
-  1. scripted events whose timestamp has arrived (within one physics step);
-  2. tension from the current geometry and motor position;
+  1. tension from the current geometry and motor position;
+  2. scripted events whose timestamp has arrived (within one physics step);
   3. joint-angle feedback, when its 5 Hz tick is due (before the reflex when
      the ticks coincide);
   4. reference trajectory override, then pretension subtraction;
@@ -27,8 +30,10 @@ squares are x * x, never x ** 2; sums run left to right; clamps keep numpy's tie
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, fields, is_dataclass, replace
 from struct import Struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +52,10 @@ __all__ = [
     "PayloadSet",
     "RefTrajectory",
     "ScenarioScript",
+    "Simulation",
     "run",
+    "run_each",
+    "run_family",
 ]
 
 
@@ -141,84 +149,150 @@ class EngineState:
     refs_cmd: list[float]  # mm, commanded references after the pretension
     reflex: ReflexState | None
     feedback: FeedbackState | None
+    next_impulse: int = 0  # scripted impulses applied so far
+    next_payload: int = 0  # scripted payload changes applied so far
 
 
-def run(
-    scenario: ScenarioScript,
-    robot: Robot,
-    reflex: ReflexParams | None = None,
-    feedback: FeedbackParams | None = None,
-) -> TelemetryLog:
-    """Execute the scenario; returns the telemetry log.
+class Simulation(NamedTuple):
+    """What one run takes, in the order ``run`` takes it."""
 
-    ``reflex=None`` runs with the reflex layer off (tensions are still
-    tick-sampled so the df column stays meaningful).  ``feedback=None`` holds
-    the initial posture open loop unless a trajectory takes over.
+    scenario: ScenarioScript
+    robot: Robot
+    reflex: ReflexParams | None
+    feedback: FeedbackParams | None
+
+
+# the per-step log blocks, named as in TelemetryLog
+_JOINT_BLOCKS = ("theta", "omega", "limit_force")
+_MUSCLE_BLOCKS = ("l_motor", "l_ref_commanded", "l_ref_effective", "f", "df", "reflex_offset")
+_BLOCKS = _JOINT_BLOCKS + _MUSCLE_BLOCKS + ("reflex_fired",)
+
+
+def _empty_log(scenario: ScenarioScript, robot: Robot) -> TelemetryLog:
+    """A log with one row per step, to be filled in; saturated and slack follow the last row."""
+    n_steps, dt = step_count(scenario.duration, scenario.dt), scenario.dt
+    n, m = robot.model.n_joints, robot.model.n_muscles
+    return TelemetryLog(
+        dt=dt, t=np.arange(n_steps) * dt,
+        **{k: np.empty((n_steps, n)) for k in _JOINT_BLOCKS},
+        **{k: np.empty((n_steps, m)) for k in _MUSCLE_BLOCKS},
+        reflex_fired=np.zeros((n_steps, m), dtype=np.uint8),
+        saturated=None, slack=None,
+    )
+
+
+def _finished(log: TelemetryLog, end: int, muscles) -> TelemetryLog:
+    """The log of the first ``end`` rows, with its saturated and slack flags."""
+    if end < len(log.t):
+        log = replace(log, t=log.t[:end], **{k: getattr(log, k)[:end] for k in _BLOCKS})
+    log.saturated = (log.f >= muscles.f_max).astype(np.uint8)
+    log.slack = (log.f < SLACK_TENSION).astype(np.uint8)
+    return log
+
+
+class _Forks:
+    """Where reflex-on runs leave a reflex-off run.
+
+    Until a reflex first fires, every muscle is idle and every group free, so
+    a reflex with trigger threshold c first fires at the first control tick
+    where some tension rose by more than c, and up to that tick its run is
+    the off run, bit for bit.  ``at`` maps each threshold that has passed to
+    (that step, the state at its start, a copy of the log rows before it).
     """
-    model, muscles = robot.model, robot.muscles
+
+    def __init__(self, thresholds, stop: bool):
+        self.pending = sorted(thresholds)  # the lowest passes first
+        self.stop = stop  # end the off run once every threshold has passed
+        self.at: dict[float, tuple[int, EngineState, TelemetryLog]] = {}
+
+    def passed(self, s: int, st: EngineState, log: TelemetryLog, rise: float) -> None:
+        head = replace(log, t=log.t[:s], **{k: getattr(log, k)[:s].copy() for k in _BLOCKS},
+                       scripted_events=list(log.scripted_events))
+        fork = (s, replace(st), head)
+        while self.pending and rise > self.pending[0]:
+            self.at[self.pending.pop(0)] = fork
+
+
+def _initial_state(sim: Simulation) -> EngineState:
+    scenario, model = sim.scenario, sim.robot.model
+    m = model.n_muscles
+    theta0 = np.asarray(scenario.theta0, dtype=float)
+    refs_cmd = (muscle_lengths_from_joints(theta0, model) - scenario.pretension_mm).tolist()
+    f0 = update_tension(refs_cmd, muscle_lengths_from_joints(theta0, model).tolist(), sim.robot.muscles)
+    return EngineState(
+        theta=theta0.tolist(), omega=[0.0] * model.n_joints, payload_mass=scenario.initial_payload,
+        l_motor=refs_cmd, f=f0, f_prev=f0, df=[0.0] * m, offsets=[0.0] * m, refs_cmd=refs_cmd,
+        reflex=ReflexState.initial(m, len(sim.robot.groups)) if sim.reflex is not None else None,
+        feedback=FeedbackState.initial(sim.feedback) if sim.feedback is not None else None,
+    )
+
+
+def _steps(sim: Simulation, st: EngineState, s0: int, log: TelemetryLog,
+           forks: _Forks | None = None) -> int:
+    """Step ``st`` from step ``s0`` on, filling the log's rows; returns where it stopped.
+
+    That is the end of the run, unless ``forks`` stop it at its last fork.
+    """
+    scenario, reflex, feedback = sim.scenario, sim.reflex, sim.feedback
+    model, muscles = sim.robot.model, sim.robot.muscles
     n, m = model.n_joints, model.n_muscles
     dt = scenario.dt
-    n_steps = step_count(scenario.duration, dt)
+    n_steps = len(log.t)
     control_every = int(round(1.0 / (scenario.control_rate_hz * dt)))
     fb_every = int(round(1.0 / (feedback.rate_hz * dt))) if feedback is not None else 0
     pre = scenario.pretension_mm
-
-    theta0 = np.asarray(scenario.theta0, dtype=float)
-    refs_cmd = (muscle_lengths_from_joints(theta0, model) - pre).tolist()
-    f0 = update_tension(refs_cmd, muscle_lengths_from_joints(theta0, model).tolist(), muscles)
-    st = EngineState(
-        theta=theta0.tolist(), omega=[0.0] * n, payload_mass=scenario.initial_payload,
-        l_motor=refs_cmd, f=f0, f_prev=f0, df=[0.0] * m, offsets=[0.0] * m, refs_cmd=refs_cmd,
-        reflex=ReflexState.initial(m, len(robot.groups)) if reflex is not None else None,
-        feedback=FeedbackState.initial(feedback) if feedback is not None else None,
-    )
+    watch = forks is not None and bool(forks.pending)
 
     impulses = _jittered_impulses(scenario)
     payloads = sorted(scenario.payload_events, key=lambda e: e.t)
-    next_imp = next_pay = 0
     traj = scenario.trajectory
     if traj is not None:
         # np.interp over every active step time at once: the same formula per
         # point as one call per step, evaluated once per run
         times = np.arange(n_steps) * dt
         traj_start = traj.times[0] - EVENT_SLACK
-        s0 = int(np.searchsorted(times, traj_start))
+        s_traj = int(np.searchsorted(times, traj_start))
         table = np.asarray(traj.refs)
-        traj_cmd = np.empty((n_steps - s0, m))
+        traj_cmd = np.empty((n_steps - s_traj, m))
         for j in range(m):
-            traj_cmd[:, j] = np.interp(times[s0:], traj.times, table[:, j]) - pre
+            traj_cmd[:, j] = np.interp(times[s_traj:], traj.times, table[:, j]) - pre
 
-    # log blocks, preallocated; each row is packed in place from the lists
-    TH, OM, LF = (np.empty((n_steps, n)) for _ in range(3))
-    LM, LRC, LRE, F, DF, OFF = (np.empty((n_steps, m)) for _ in range(6))
+    # each row is packed in place from the lists
+    TH, OM, LF, LM, LRC, LRE, F, DF, OFF, FIRED = (getattr(log, k) for k in _BLOCKS)
     put_n, put_m = Struct(f"{n}d").pack_into, Struct(f"{m}d").pack_into
-    FIRED = np.zeros((n_steps, m), dtype=np.uint8)
-    reflex_events: list[tuple[int, float]] = []
-    scripted: list[tuple[float, str]] = []
+    reflex_events, scripted = log.reflex_events, log.scripted_events
 
-    for s in range(n_steps):
+    for s in range(s0, n_steps):
         t = s * dt
 
-        while next_imp < len(impulses) and impulses[next_imp].t <= t + EVENT_SLACK:
-            imp = impulses[next_imp]
+        # scripted events move neither the joints nor the motors, so the
+        # tension comes first and a fork can take the state of the step's start
+        f = update_tension(st.l_motor, muscle_lengths_from_joints(st.theta, model).tolist(), muscles)
+        if watch and s % control_every == 0:
+            rise = max(a - b for a, b in zip(f, st.f_prev))
+            if rise > forks.pending[0]:
+                forks.passed(s, st, log, rise)
+                watch = bool(forks.pending)
+                if forks.stop and not watch:
+                    return s
+        st.f = f
+
+        while st.next_impulse < len(impulses) and impulses[st.next_impulse].t <= t + EVENT_SLACK:
+            imp = impulses[st.next_impulse]
             st.omega = apply_impulse(st.omega, imp.joint, imp.delta_omega)
             scripted.append((t, f"impulse joint={imp.joint} domega={imp.delta_omega}"))
-            next_imp += 1
-        while next_pay < len(payloads) and payloads[next_pay].t <= t + EVENT_SLACK:
-            pay = payloads[next_pay]
+            st.next_impulse += 1
+        while st.next_payload < len(payloads) and payloads[st.next_payload].t <= t + EVENT_SLACK:
+            pay = payloads[st.next_payload]
             st.payload_mass = pay.mass
             scripted.append((t, f"payload mass={pay.mass}"))
-            next_pay += 1
-
-        st.f = update_tension(
-            st.l_motor, muscle_lengths_from_joints(st.theta, model).tolist(), muscles
-        )
+            st.next_payload += 1
 
         if feedback is not None and s % fb_every == 0:
             st.feedback = feedback_update(st.feedback, st.theta, feedback)
             st.refs_cmd = (muscle_lengths_from_joints(st.feedback.theta_virtual, model) - pre).tolist()
         if traj is not None and t >= traj_start:
-            st.refs_cmd = traj_cmd[s - s0].tolist()
+            st.refs_cmd = traj_cmd[s - s_traj].tolist()
 
         if s % control_every == 0:
             if reflex is not None:
@@ -252,16 +326,109 @@ def run(
 
         st.l_motor = step_motor(st.l_motor, refs_eff, dt, muscles)
         st.theta, st.omega = theta, omega
+    return n_steps
 
-    return TelemetryLog(
-        dt=dt,
-        t=np.arange(n_steps) * dt,
-        theta=TH, omega=OM,
-        l_motor=LM, l_ref_commanded=LRC, l_ref_effective=LRE,
-        f=F, df=DF, reflex_offset=OFF, reflex_fired=FIRED,
-        limit_force=LF,
-        saturated=(F >= muscles.f_max).astype(np.uint8),
-        slack=(F < SLACK_TENSION).astype(np.uint8),
-        reflex_events=reflex_events,
-        scripted_events=scripted,
-    )
+
+def run(
+    scenario: ScenarioScript,
+    robot: Robot,
+    reflex: ReflexParams | None = None,
+    feedback: FeedbackParams | None = None,
+    *,
+    forks: _Forks | None = None,
+) -> TelemetryLog:
+    """Execute the scenario; returns the telemetry log.
+
+    ``reflex=None`` runs with the reflex layer off (tensions are still
+    tick-sampled so the df column stays meaningful).  ``feedback=None`` holds
+    the initial posture open loop unless a trajectory takes over.  ``forks``
+    is how ``run_family`` watches a reflex-off run.
+    """
+    sim = Simulation(scenario, robot, reflex, feedback)
+    log = _empty_log(scenario, robot)
+    end = _steps(sim, _initial_state(sim), 0, log, forks)
+    return _finished(log, end, robot.muscles)
+
+
+def _resumed(sim: Simulation, fork: tuple[int, EngineState, TelemetryLog]) -> TelemetryLog:
+    """The reflex-on run ``sim``, made from its fork off the reflex-off run."""
+    s, state, head = fork
+    log = _empty_log(sim.scenario, sim.robot)
+    for k in _BLOCKS:
+        getattr(log, k)[:s] = getattr(head, k)
+    log.scripted_events = list(head.scripted_events)
+    st = replace(state, reflex=ReflexState.initial(sim.robot.model.n_muscles, len(sim.robot.groups)))
+    return _finished(log, _steps(sim, st, s, log), sim.robot.muscles)
+
+
+def run_family(
+    scenario: ScenarioScript,
+    robot: Robot,
+    feedback: FeedbackParams | None,
+    reflexes: Sequence[ReflexParams | None],
+) -> Iterator[TelemetryLog]:
+    """Yield the log of each reflex setting (None: reflex off), in order,
+    bit for bit as ``run`` makes it.
+
+    The reflex-off run goes first (see ``_Forks``).  A reflex-on run resumes
+    from it at its first fire, and is the off run if it never fires; the off
+    run stops at the last fork when no setting asks for it.  A divergence is
+    raised at the first setting whose own run would raise it.
+    """
+    reflexes = list(reflexes)
+    if len(reflexes) == 1:  # a lone run has no start to share
+        yield run(scenario, robot, reflexes[0], feedback)
+        return
+    forks = _Forks({r.c_stretch for r in reflexes if r is not None}, stop=None not in reflexes)
+    try:
+        off, failure = run(scenario, robot, None, feedback, forks=forks), None
+    except SimulationDiverged as e:
+        off, failure = None, e
+    is_off = [r is None or r.c_stretch not in forks.at for r in reflexes]
+    for i, reflex in enumerate(reflexes):
+        if not any(is_off[i:]):
+            off = None  # freed before the runs that do not need it
+        if not is_off[i]:
+            yield _resumed(Simulation(scenario, robot, reflex, feedback), forks.at[reflex.c_stretch])
+        elif failure is not None:
+            raise failure
+        else:
+            yield off
+
+
+def _frozen(obj):
+    """A hashable stand-in for ``obj``, equal exactly when the values are equal bit for bit."""
+    if is_dataclass(obj):
+        return (type(obj).__name__, *(_frozen(getattr(obj, f.name)) for f in fields(obj)))
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, (tuple, list)):
+        return tuple(map(_frozen, obj))
+    if isinstance(obj, float):
+        return obj.hex()
+    return obj
+
+
+def run_each(jobs: Iterable[tuple[Simulation, Callable[[TelemetryLog], object]]]) -> None:
+    """Hand each job's function the log of its simulation, making each
+    distinct simulation once.
+
+    Simulations are told apart by their values, bit for bit.  Those that
+    differ only in their reflex settings make one ``run_family``; families
+    run one after another in the order of their first job.  In a family the
+    reflex-off run is handed out first, so its log is freed before the
+    reflex-on runs are made, and the rest follow in the order of their first job.
+    """
+    families: dict = {}
+    for sim, take in jobs:
+        family = families.setdefault(_frozen(sim._replace(reflex=None)), {})
+        family.setdefault(_frozen(sim.reflex), (sim, []))[1].append(take)
+    for family in families.values():
+        members = sorted(family.values(), key=lambda member: member[0].reflex is not None)
+        first = members[0][0]
+        logs = run_family(first.scenario, first.robot, first.feedback, [sim.reflex for sim, _ in members])
+        for _, takers in members:
+            log = next(logs)
+            for take in takers:
+                take(log)
+            del log  # freed before the family makes its next run

@@ -20,14 +20,35 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-__all__ = ["TelemetryLog", "SLACK_TENSION"]
+__all__ = ["TelemetryLog", "SLACK_TENSION", "MAX_LOG_BYTES", "row_bytes"]
 
 SLACK_TENSION = 0.01  # N; tensions below this are flagged slack
-_CSV_CHUNK = 64  # rows formatted per write
+_CSV_CHUNK = 128  # rows formatted per write
+# the most memory one run's log may take; a parsed config is held to it
+MAX_LOG_BYTES = 1 << 30
+
+
+def row_bytes(n_joints: int, n_muscles: int) -> int:
+    """Bytes of one log row: t plus 3 float columns per joint, 6 float and 3 uint8 per muscle."""
+    return 8 * (1 + 3 * n_joints + 6 * n_muscles) + 3 * n_muscles
+
+
+def _text(values: np.ndarray) -> np.ndarray:
+    """repr of every value, as an object array of the same shape.
+
+    repr runs once per distinct value; floats are told apart by their bits,
+    so -0.0 stays apart from 0.0.
+    """
+    flat = values.ravel()
+    keys = flat.view(f"u{flat.itemsize}") if flat.dtype.kind == "f" else flat
+    distinct, where = np.unique(keys, return_inverse=True)
+    if flat.dtype.kind == "f":
+        distinct = distinct.view(flat.dtype)
+    text = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    return text[where].reshape(values.shape)
 
 
 @dataclass
@@ -96,11 +117,20 @@ class TelemetryLog:
             self.l_ref_commanded, self.l_ref_effective, self.f, self.df,
             self.reflex_offset, self.reflex_fired, self.limit_force, self.saturated, self.slack,
         ]
-        # repr of a Python float or int is the column text; convert a chunk of
-        # rows at a time so the Python objects made for it stay a few tens of kB
+        # repr of a Python float or int is the column text.  The columns of one
+        # dtype are formatted together, a chunk of rows at a time, so the
+        # objects made for it stay a few hundred kB
+        starts = np.cumsum([0] + [b.shape[1] for b in blocks])
+        groups: dict[np.dtype, tuple[list, list]] = {}
+        for b, start in zip(blocks, starts):
+            cols, members = groups.setdefault(b.dtype, ([], []))
+            cols.extend(range(start, start + b.shape[1]))
+            members.append(b)
         for i in range(0, len(self.t), _CSV_CHUNK):
-            rows = zip(*(block[i:i + _CSV_CHUNK].tolist() for block in blocks))
-            fh.write("".join(",".join(map(repr, chain.from_iterable(row))) + "\n" for row in rows))
+            cells = np.empty((min(_CSV_CHUNK, len(self.t) - i), starts[-1]), dtype=object)
+            for cols, members in groups.values():
+                cells[:, cols] = _text(np.concatenate([b[i:i + _CSV_CHUNK] for b in members], axis=1))
+            fh.write("\n".join(map(",".join, cells.tolist())) + "\n")
 
     @staticmethod
     def from_csv(path) -> "TelemetryLog":

@@ -14,8 +14,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reflex_sim.scenario
+from reflex_sim.acceptance import check_experiment
 from reflex_sim.cli import main
-from reflex_sim.config import default_robot_path
+from reflex_sim.config import default_robot, default_robot_path
 from reflex_sim.scenario import last_event_time
 
 
@@ -242,7 +244,7 @@ PRECEDENCE = [
 @pytest.fixture
 def engine_inputs(monkeypatch):
     """What the CLI hands the engine; the stub engine raises EngineReached."""
-    import reflex_sim.acceptance
+    import reflex_sim.scenario
 
     seen = {}
 
@@ -250,7 +252,7 @@ def engine_inputs(monkeypatch):
         seen.update(scenario=scenario, reflex=reflex, feedback=feedback)
         raise EngineReached
 
-    monkeypatch.setattr(reflex_sim.acceptance, "run", engine)
+    monkeypatch.setattr(reflex_sim.scenario, "run", engine)
     return seen
 
 
@@ -340,6 +342,10 @@ RUN_CRASHERS = [
                  id="duration-of-half-a-step"),
     pytest.param("custom", _mini_with(duration=1e306, impulses=[]), "custom.duration",
                  id="duration-past-a-finite-step-count"),
+    pytest.param("custom", _mini_with(duration=1.0e9, impulses=[]), "custom.duration",
+                 id="duration-past-the-log-size-cap"),
+    pytest.param("e4", _builtin_doc("e4", ramp_duration=1.0e300), "scenario_params",
+                 id="scenario-params-past-the-log-size-cap"),
     pytest.param("custom", _mini_with(impulses=5), "custom.impulses", id="impulses-not-a-list"),
     pytest.param("custom", mini_doc(robot=""), "robot", id="empty-robot-path"),
     pytest.param("custom", _mini_with(time_jitter=1e308), "custom.time_jitter",
@@ -365,6 +371,43 @@ def test_theta_ref_arity_checked_against_robot(tmp_path, capsys):
                                             "scenario": "e3", "feedback": {"theta_ref": [0.0]}})
     assert main(["run", "e3", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "feedback.theta_ref" in capsys.readouterr().err
+
+
+@pytest.fixture
+def physics_steps(monkeypatch):
+    """Counts the engine's physics steps."""
+    count = [0]
+    step = reflex_sim.scenario.step_dynamics
+
+    def counted(*args):
+        count[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(reflex_sim.scenario, "step_dynamics", counted)
+    return count
+
+
+# reflex-off runs of e2 (10 s) and e4 (9.9 s, with and without friction) in
+# full; e2's three reflex-on runs from their fork at step 1010; e4's from
+# step 7420, and not at all without friction, where it never fires
+@pytest.mark.parametrize("exp, steps", [("e2", 10_000 + 3 * 8_990), ("e4", 9_900 + 2_480 + 9_900)])
+def test_check_makes_each_distinct_run_once_and_forks_the_rest(tmp_path, physics_steps, exp, steps):
+    assert main(["run", exp, "--check", "--out", str(tmp_path / "out")]) == 0
+    assert physics_steps[0] == steps
+
+
+def test_check_does_not_reuse_a_run_the_config_changed(tmp_path, capsys, physics_steps):
+    doc = {"schema_version": 1, "kind": "experiment", "scenario": "e2",
+           "scenario_params": {"impact_domega": 3.0}}
+    cfg = write_yaml(tmp_path / "e2.yaml", doc)
+    code = main(["run", "e2", "--config", str(cfg), "--check", "--out", str(tmp_path / "out")])
+    cli_steps = physics_steps[0]
+    result = check_experiment("e2", default_robot())
+    check_steps = physics_steps[0] - cli_steps
+    assert code == (0 if result.passed else 4)
+    status = "PASS" if result.passed else "FAIL"
+    assert capsys.readouterr().out.splitlines()[-1] == f"{status} {result.name}: {result.details}"
+    assert cli_steps == 10_000 + check_steps  # its own set1 run, then every run of the check
 
 
 def test_check_on_custom_exits_2(tmp_path, mini_cfg, capsys):

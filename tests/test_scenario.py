@@ -13,7 +13,7 @@ from reflex_sim.muscles import MuscleParams
 from reflex_sim.reflex import ReflexParams
 from reflex_sim.robot import Robot
 from reflex_sim.scenario import (
-    Impulse, PayloadSet, RefTrajectory, ScenarioScript, _jittered_impulses, run,
+    Impulse, PayloadSet, RefTrajectory, ScenarioScript, _jittered_impulses, run, run_family,
 )
 
 
@@ -308,3 +308,66 @@ class TestDivergence:
             run(sc, bad)
         assert exc.value.tick is not None and exc.value.tick >= 0
         assert "tick" in str(exc.value)
+
+
+class TestFamily:
+    """run_family forks each reflex-on run off the reflex-off run; every log
+    it yields must be the one a standalone run makes, bit for bit."""
+
+    @staticmethod
+    def _same(got, want):
+        for name in ("t", "theta", "omega", "l_motor", "l_ref_commanded", "l_ref_effective", "f",
+                     "df", "reflex_offset", "reflex_fired", "limit_force", "saturated", "slack"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert got.dt == want.dt
+        assert got.reflex_events == want.reflex_events
+        assert got.scripted_events == want.scripted_events
+
+    # e1-e3 first fire at 1.01 s, so 2.5 s runs fork; e4 first fires at 7.42 s
+    @pytest.mark.parametrize("name, duration", [("e1", 2.5), ("e2", 2.5), ("e3", 2.5),
+                                                ("e4", None), ("e4-frictionless", None)])
+    def test_paper_sweep_logs_equal_standalone_runs(self, name, duration):
+        from reflex_sim.acceptance import zero_friction
+        from reflex_sim.config import default_robot
+        from reflex_sim.experiments import builtin_experiments
+
+        robot = default_robot()
+        if name == "e4-frictionless":
+            name, robot = "e4", zero_friction(robot)
+        exp = builtin_experiments(robot)[name]
+        sc = exp.scenario if duration is None else replace(exp.scenario, duration=duration)
+        reflexes = [exp.reflex_params(v, robot.groups) for v in exp.paper_sweep]
+        for reflex, log in zip(reflexes, run_family(sc, robot, exp.feedback, reflexes), strict=True):
+            self._same(log, run(sc, robot, reflex, exp.feedback))
+
+    @pytest.mark.parametrize("extra", [(), (replace(REFLEX, c_stretch=1e9),)],
+                             ids=["all-fork", "one-never-fires"])
+    def test_reflex_on_runs_without_the_off_run(self, extra):
+        # no reflex-off run is asked for: the shared run ends at the last fork,
+        # or runs on when some reflex never fires, whose log it then is
+        robot = _robot()
+        sc = _scenario(duration=0.6, impulses=(Impulse(t=0.1, joint=1, delta_omega=-6.0),))
+        reflexes = [REFLEX, *extra, replace(REFLEX, dl_stretch=5.0, dt_loose=0.2)]
+        for reflex, log in zip(reflexes, run_family(sc, robot, None, reflexes), strict=True):
+            self._same(log, run(sc, robot, reflex))
+        assert run(sc, robot, REFLEX).reflex_events  # the fork is exercised
+
+    @pytest.mark.parametrize("first", ["off", "on"])
+    def test_divergence_is_raised_where_the_standalone_run_raises(self, first):
+        robot = _robot()
+        hot = replace(
+            robot.model.joints, inertia=np.array([1e-9, 1e-9]),
+            limit_lo=np.array([-0.01, -0.01]), limit_hi=np.array([0.01, 0.01]),
+            limit_stiffness=np.array([1e30, 1e30]), limit_damping=np.zeros(2),
+            mu_static=np.zeros(2), mu_kinetic=np.zeros(2), stiction_band=np.zeros(2),
+        )
+        bad = replace(robot, model=replace(robot.model, joints=hot))
+        sc = _scenario(theta0=np.array([1.0, 0.0]))
+        reflexes = [None, REFLEX] if first == "off" else [REFLEX, None]
+        with np.errstate(over="ignore"):
+            with pytest.raises(SimulationDiverged) as alone:
+                run(sc, bad, reflexes[0])
+            with pytest.raises(SimulationDiverged) as family:
+                next(run_family(sc, bad, None, reflexes))
+        assert str(family.value) == str(alone.value)
