@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .experiments import ExperimentDef, builtin_experiments
+from .experiments import ExperimentDef, e1_experiment, e2_experiment, e3_experiment, e4_experiment
 from .metrics import conv_time, drift, limit_contact, max_deviation, tension_stats
 from .robot import Robot
 from .scenario import Simulation, run_each
@@ -74,7 +74,7 @@ def _impact_windows(scenario):
 
 
 def check_e1(robot: Robot) -> _Check:
-    exp = builtin_experiments(robot)["e1"]
+    exp = e1_experiment(robot)
     windows = _impact_windows(exp.scenario)
     joint = exp.scenario.impulses[0].joint
 
@@ -99,7 +99,7 @@ def check_e1(robot: Robot) -> _Check:
 
 
 def check_e2(robot: Robot) -> _Check:
-    exp = builtin_experiments(robot)["e2"]
+    exp = e2_experiment(robot)
     joint = exp.scenario.impulses[0].joint
     a = exp.analysis
     labels = [v.label for v in exp.paper_sweep if v.reflex]
@@ -126,7 +126,7 @@ def check_e2(robot: Robot) -> _Check:
 
 
 def check_e3(robot: Robot) -> _Check:
-    exp = builtin_experiments(robot)["e3"]
+    exp = e3_experiment(robot)
     a = exp.analysis
     on = [v for v in exp.paper_sweep if v.reflex]
 
@@ -158,7 +158,7 @@ def check_e3(robot: Robot) -> _Check:
 
 def check_e4(robot: Robot) -> _Check:
     bots = (robot, zero_friction(robot))
-    exps = [builtin_experiments(bot)["e4"] for bot in bots]
+    exps = [e4_experiment(bot) for bot in bots]
     wf = exps[0].analysis.window_final
 
     def verdict(stats):

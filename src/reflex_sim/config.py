@@ -37,7 +37,6 @@ from .experiments import (
     EXPERIMENT_NAMES,
     ExperimentDef,
     Variant,
-    builtin_experiments,
 )
 from .metrics import AnalysisParams
 from .muscles import MuscleParams
@@ -174,6 +173,15 @@ def _switch(section: dict, path, errors) -> bool | None:
         errors.append(f"{path}.enabled: must be true or false")
         return None
     return enabled
+
+
+def _dir_name(v, at, errors) -> bool:
+    """Whether ``v`` names one directory inside the output directory; an error if not."""
+    if isinstance(v, str) and v not in ("", ".", "..") and not any(c in v for c in "/\\\0"):
+        return True
+    errors.append(f"{at}: must be a non-empty string other than '.' and '..', "
+                  f"without '/', '\\' or NUL, got {v!r}")
+    return False
 
 
 def _head_errors(doc, expected_kind):
@@ -314,13 +322,19 @@ def _parse_sweep(sweep, errors) -> str | tuple[Variant, ...] | None:
         if not isinstance(entry, dict):
             errors.append(f"{p}: must be a mapping")
             continue
+        label = entry.get("label", f"run{i}")
+        if not _dir_name(label, f"{p}.label", errors):
+            continue
+        if label == "comparison.csv":
+            errors.append(f"{p}.label: must not be comparison.csv, the sweep's own file")
+            continue
         reflex = entry.get("reflex", True)
         if not isinstance(reflex, bool):
             errors.append(f"{p}.reflex: must be true or false")
             continue
         # unset values keep the Variant defaults
         values = {k: _num(entry, k, p, errors, gt=0.0) for k in ("dl_stretch", "dt_loose") if k in entry}
-        variants.append(Variant(str(entry.get("label", f"run{i}")), reflex, **values))
+        variants.append(Variant(label, reflex, **values))
     labels = [v.label for v in variants]
     if len(set(labels)) != len(labels):
         errors.append(f"sweep: labels must be unique, got {labels}")
@@ -481,7 +495,9 @@ def _parse_experiment(doc, base_dir: Path) -> Experiment:
         errors.append("scenario_params: only a built-in scenario takes parameters; "
                       "a custom script sets its values in the custom block")
 
-    name = str(doc.get("name", scenario))
+    name = doc.get("name", scenario)
+    if "name" in doc:
+        _dir_name(name, "name", errors)
     custom = doc.get("custom")
     script = None
     if scenario == "custom" and not isinstance(custom, dict):
@@ -503,7 +519,7 @@ def _parse_experiment(doc, base_dir: Path) -> Experiment:
             paper_sweep=(),
         )
     else:
-        base = builtin_experiments(robot, **{scenario: params})[scenario]
+        base = EXPERIMENT_FUNCTIONS[scenario](robot, **params)
         duration, dt = base.scenario.duration, base.scenario.dt
         if not _has_steps(duration, dt, robot):
             raise ConfigError([f"scenario_params: they make {scenario} last {duration} s; "

@@ -147,7 +147,8 @@ def drop_impulses(robot: Robot, theta: np.ndarray, mass: float, height: float) -
     return tuple(out)
 
 
-def e1_experiment(impact_domega: float = E1_IMPACT_DOMEGA, n_impacts: int = 7) -> ExperimentDef:
+def e1_experiment(robot: Robot, impact_domega: float = E1_IMPACT_DOMEGA,
+                  n_impacts: int = 7) -> ExperimentDef:
     scenario = ScenarioScript(
         name="e1",
         duration=9.0,
@@ -168,7 +169,8 @@ def e1_experiment(impact_domega: float = E1_IMPACT_DOMEGA, n_impacts: int = 7) -
     )
 
 
-def e2_experiment(impact_domega: float = E2_IMPACT_DOMEGA, n_impacts: int = 7) -> ExperimentDef:
+def e2_experiment(robot: Robot, impact_domega: float = E2_IMPACT_DOMEGA,
+                  n_impacts: int = 7) -> ExperimentDef:
     # 1.2 s spacing: even a 1.0 s reflex release finishes before the next hit.
     # All knocks push the same way, so without the reflex the elbow ratchets
     # outward hit after hit, while the reflex re-anchors the posture each time.
@@ -287,7 +289,8 @@ def e4_experiment(
     )
 
 
-# the function behind each built-in; a config's scenario_params are its keyword arguments
+# the function behind each built-in, called with the robot it runs on (e1 and e2
+# do not depend on it); a config's scenario_params are its keyword arguments
 EXPERIMENT_FUNCTIONS = {
     "e1": e1_experiment, "e2": e2_experiment, "e3": e3_experiment, "e4": e4_experiment,
 }
@@ -300,9 +303,4 @@ def builtin_experiments(robot: Robot, **overrides) -> dict[str, ExperimentDef]:
     ``overrides`` are per-experiment keyword dicts, e.g.
     ``builtin_experiments(robot, e1={"impact_domega": 2.0})``.
     """
-    return {
-        "e1": e1_experiment(**overrides.get("e1", {})),
-        "e2": e2_experiment(**overrides.get("e2", {})),
-        "e3": e3_experiment(robot, **overrides.get("e3", {})),
-        "e4": e4_experiment(robot, **overrides.get("e4", {})),
-    }
+    return {name: fn(robot, **overrides.get(name, {})) for name, fn in EXPERIMENT_FUNCTIONS.items()}

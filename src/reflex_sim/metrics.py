@@ -179,7 +179,7 @@ def compute_report(log: TelemetryLog, params: AnalysisParams) -> MetricsReport:
         peak_tension_per_muscle=peak_per,
         steady_tension=steady,
         limit_contact=limit_contact(log),
-        reflex_event_count=len(log.reflex_events),
+        reflex_event_count=int(np.count_nonzero(log.reflex_fired)),
         drift=drift_vals,
         max_deviation=dev_vals,
         conv_time=ct,

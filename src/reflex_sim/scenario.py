@@ -44,7 +44,7 @@ from .muscles import step_motor, update_tension
 from .reflex import ReflexParams, ReflexState
 from .reflex import update as reflex_update
 from .robot import Robot
-from .telemetry import SLACK_TENSION, TelemetryLog
+from .telemetry import TelemetryLog
 
 __all__ = [
     "EngineState",
@@ -100,12 +100,12 @@ class ScenarioScript:
     payload_events: tuple[PayloadSet, ...] = ()
     trajectory: RefTrajectory | None = None
     dt: float = 1e-3
-    control_rate_hz: float = 100.0
     seed: int | None = None
     time_jitter: float = 0.0  # s, uniform +- shift on impulse times
 
 
 EVENT_SLACK = 1e-12  # s
+CONTROL_RATE_HZ = 100.0  # reflex ticks and tension sampling
 
 
 def step_count(duration: float, dt: float) -> int:
@@ -162,34 +162,6 @@ class Simulation(NamedTuple):
     feedback: FeedbackParams | None
 
 
-# the per-step log blocks, named as in TelemetryLog
-_JOINT_BLOCKS = ("theta", "omega", "limit_force")
-_MUSCLE_BLOCKS = ("l_motor", "l_ref_commanded", "l_ref_effective", "f", "df", "reflex_offset")
-_BLOCKS = _JOINT_BLOCKS + _MUSCLE_BLOCKS + ("reflex_fired",)
-
-
-def _empty_log(scenario: ScenarioScript, robot: Robot) -> TelemetryLog:
-    """A log with one row per step, to be filled in; saturated and slack follow the last row."""
-    n_steps, dt = step_count(scenario.duration, scenario.dt), scenario.dt
-    n, m = robot.model.n_joints, robot.model.n_muscles
-    return TelemetryLog(
-        dt=dt, t=np.arange(n_steps) * dt,
-        **{k: np.empty((n_steps, n)) for k in _JOINT_BLOCKS},
-        **{k: np.empty((n_steps, m)) for k in _MUSCLE_BLOCKS},
-        reflex_fired=np.zeros((n_steps, m), dtype=np.uint8),
-        saturated=None, slack=None,
-    )
-
-
-def _finished(log: TelemetryLog, end: int, muscles) -> TelemetryLog:
-    """The log of the first ``end`` rows, with its saturated and slack flags."""
-    if end < len(log.t):
-        log = replace(log, t=log.t[:end], **{k: getattr(log, k)[:end] for k in _BLOCKS})
-    log.saturated = (log.f >= muscles.f_max).astype(np.uint8)
-    log.slack = (log.f < SLACK_TENSION).astype(np.uint8)
-    return log
-
-
 class _Forks:
     """Where reflex-on runs leave a reflex-off run.
 
@@ -206,9 +178,7 @@ class _Forks:
         self.at: dict[float, tuple[int, EngineState, TelemetryLog]] = {}
 
     def passed(self, s: int, st: EngineState, log: TelemetryLog, rise: float) -> None:
-        head = replace(log, t=log.t[:s], **{k: getattr(log, k)[:s].copy() for k in _BLOCKS},
-                       scripted_events=list(log.scripted_events))
-        fork = (s, replace(st), head)
+        fork = (s, replace(st), log.head(s))
         while self.pending and rise > self.pending[0]:
             self.at[self.pending.pop(0)] = fork
 
@@ -238,7 +208,7 @@ def _steps(sim: Simulation, st: EngineState, s0: int, log: TelemetryLog,
     n, m = model.n_joints, model.n_muscles
     dt = scenario.dt
     n_steps = len(log.t)
-    control_every = int(round(1.0 / (scenario.control_rate_hz * dt)))
+    control_every = int(round(1.0 / (CONTROL_RATE_HZ * dt)))
     fb_every = int(round(1.0 / (feedback.rate_hz * dt))) if feedback is not None else 0
     pre = scenario.pretension_mm
     watch = forks is not None and bool(forks.pending)
@@ -258,9 +228,11 @@ def _steps(sim: Simulation, st: EngineState, s0: int, log: TelemetryLog,
             traj_cmd[:, j] = np.interp(times[s_traj:], traj.times, table[:, j]) - pre
 
     # each row is packed in place from the lists
-    TH, OM, LF, LM, LRC, LRE, F, DF, OFF, FIRED = (getattr(log, k) for k in _BLOCKS)
+    TH, OM, LF = log.theta, log.omega, log.limit_force
+    LM, LRC, LRE = log.l_motor, log.l_ref_commanded, log.l_ref_effective
+    F, DF, OFF, FIRED = log.f, log.df, log.reflex_offset, log.reflex_fired
     put_n, put_m = Struct(f"{n}d").pack_into, Struct(f"{m}d").pack_into
-    reflex_events, scripted = log.reflex_events, log.scripted_events
+    scripted = log.scripted_events
 
     for s in range(s0, n_steps):
         t = s * dt
@@ -299,7 +271,6 @@ def _steps(sim: Simulation, st: EngineState, s0: int, log: TelemetryLog,
                 st.reflex, st.offsets, fired_now = reflex_update(st.reflex, st.f_prev, st.f, t, reflex)
                 for j, _ in fired_now:
                     FIRED[s, j] = 1
-                reflex_events.extend(fired_now)
             st.df = [a - b for a, b in zip(st.f, st.f_prev)]
             st.f_prev = st.f
 
@@ -345,20 +316,18 @@ def run(
     is how ``run_family`` watches a reflex-off run.
     """
     sim = Simulation(scenario, robot, reflex, feedback)
-    log = _empty_log(scenario, robot)
+    log = TelemetryLog.allocate(step_count(scenario.duration, scenario.dt), scenario.dt,
+                                robot.model.n_joints, robot.model.n_muscles)
     end = _steps(sim, _initial_state(sim), 0, log, forks)
-    return _finished(log, end, robot.muscles)
+    return log.finished(end, robot.muscles.f_max)
 
 
 def _resumed(sim: Simulation, fork: tuple[int, EngineState, TelemetryLog]) -> TelemetryLog:
     """The reflex-on run ``sim``, made from its fork off the reflex-off run."""
     s, state, head = fork
-    log = _empty_log(sim.scenario, sim.robot)
-    for k in _BLOCKS:
-        getattr(log, k)[:s] = getattr(head, k)
-    log.scripted_events = list(head.scripted_events)
+    log = head.grown(step_count(sim.scenario.duration, sim.scenario.dt))
     st = replace(state, reflex=ReflexState.initial(sim.robot.model.n_muscles, len(sim.robot.groups)))
-    return _finished(log, _steps(sim, st, s, log), sim.robot.muscles)
+    return log.finished(_steps(sim, st, s, log), sim.robot.muscles.f_max)
 
 
 def run_family(
@@ -413,15 +382,17 @@ def run_each(jobs: Iterable[tuple[Simulation, Callable[[TelemetryLog], object]]]
     """Hand each job's function the log of its simulation, making each
     distinct simulation once.
 
-    Simulations are told apart by their values, bit for bit.  Those that
-    differ only in their reflex settings make one ``run_family``; families
-    run one after another in the order of their first job.  In a family the
-    reflex-off run is handed out first, so its log is freed before the
-    reflex-on runs are made, and the rest follow in the order of their first job.
+    Simulations are told apart by their values, bit for bit; the seed counts
+    only where it draws a time jitter.  Those that differ only in their reflex
+    settings make one ``run_family``; families run one after another in the
+    order of their first job.  In a family the reflex-off run is handed out
+    first, so its log is freed before the reflex-on runs are made, and the
+    rest follow in the order of their first job.
     """
     families: dict = {}
     for sim, take in jobs:
-        family = families.setdefault(_frozen(sim._replace(reflex=None)), {})
+        scenario = sim.scenario if sim.scenario.time_jitter > 0.0 else replace(sim.scenario, seed=None)
+        family = families.setdefault(_frozen(sim._replace(scenario=scenario, reflex=None)), {})
         family.setdefault(_frozen(sim.reflex), (sim, []))[1].append(take)
     for family in families.values():
         members = sorted(family.values(), key=lambda member: member[0].reflex is not None)

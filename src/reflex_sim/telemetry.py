@@ -1,7 +1,9 @@
 """Per-tick telemetry log and its CSV serialization.
 
-One row per physics tick.  Column layout, in order, for n joints and m
-muscles (indices, not names, so the header is stable for any plant size):
+One row per physics tick.  Each per-tick block is declared once, as a field
+of ``TelemetryLog`` with its CSV stem, width and dtype.  Column layout, in
+order, for n joints and m muscles (indices, not names, so the header is
+stable for any plant size):
 
     t,
     theta_0..theta_{n-1}, omega_0..omega_{n-1},
@@ -12,14 +14,15 @@ muscles (indices, not names, so the header is stable for any plant size):
 
 Floats are written with repr (shortest round-trip form), so a parsed file
 reproduces the in-memory arrays bit for bit and two identical runs produce
-byte-identical files.  Scripted events and reflex events live on the object
-(and in the metrics summary), not in the per-tick stream.
+byte-identical files.  Reflex events are in the per-tick stream, as
+``reflex_fired``; scripted events live on the object only.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +34,24 @@ _CSV_CHUNK = 128  # rows formatted per write
 MAX_LOG_BYTES = 1 << 30
 
 
+class _Block(NamedTuple):
+    name: str  # the TelemetryLog field
+    stem: str  # of its CSV columns, {stem}_0..
+    per_joint: bool  # one column per joint, else per muscle
+    dtype: np.dtype
+
+    def width(self, n_joints: int, n_muscles: int) -> int:
+        return n_joints if self.per_joint else n_muscles
+
+
+def _block(stem: str, per: str, dtype=np.float64):
+    """A TelemetryLog field that is a per-tick block; ``per`` is "joint" or "muscle"."""
+    return field(metadata={"block": (stem, per == "joint", np.dtype(dtype))})
+
+
 def row_bytes(n_joints: int, n_muscles: int) -> int:
-    """Bytes of one log row: t plus 3 float columns per joint, 6 float and 3 uint8 per muscle."""
-    return 8 * (1 + 3 * n_joints + 6 * n_muscles) + 3 * n_muscles
+    """Bytes of one log row: t and every block."""
+    return 8 + sum(b.width(n_joints, n_muscles) * b.dtype.itemsize for b in _BLOCKS)
 
 
 def _text(values: np.ndarray) -> np.ndarray:
@@ -54,20 +72,19 @@ def _text(values: np.ndarray) -> np.ndarray:
 @dataclass
 class TelemetryLog:
     dt: float
-    t: np.ndarray  # (N,)
-    theta: np.ndarray  # (N, n)
-    omega: np.ndarray  # (N, n)
-    l_motor: np.ndarray  # (N, m)
-    l_ref_commanded: np.ndarray  # (N, m)
-    l_ref_effective: np.ndarray  # (N, m)
-    f: np.ndarray  # (N, m)
-    df: np.ndarray  # (N, m), tick-sampled difference held between ticks
-    reflex_offset: np.ndarray  # (N, m)
-    reflex_fired: np.ndarray  # (N, m) uint8
-    limit_force: np.ndarray  # (N, n)
-    saturated: np.ndarray  # (N, m) uint8
-    slack: np.ndarray  # (N, m) uint8
-    reflex_events: list[tuple[int, float]] = field(default_factory=list)
+    t: np.ndarray  # (N,), row i at i * dt
+    theta: np.ndarray = _block("theta", "joint")
+    omega: np.ndarray = _block("omega", "joint")
+    l_motor: np.ndarray = _block("l_motor", "muscle")
+    l_ref_commanded: np.ndarray = _block("l_ref_cmd", "muscle")
+    l_ref_effective: np.ndarray = _block("l_ref_eff", "muscle")
+    f: np.ndarray = _block("f", "muscle")
+    df: np.ndarray = _block("df", "muscle")  # tick-sampled difference held between ticks
+    reflex_offset: np.ndarray = _block("reflex_offset", "muscle")
+    reflex_fired: np.ndarray = _block("reflex_fired", "muscle", np.uint8)
+    limit_force: np.ndarray = _block("limit_force", "joint")
+    saturated: np.ndarray = _block("saturated", "muscle", np.uint8)
+    slack: np.ndarray = _block("slack", "muscle", np.uint8)
     scripted_events: list[tuple[float, str]] = field(default_factory=list)
 
     @property
@@ -81,6 +98,41 @@ class TelemetryLog:
     @property
     def duration(self) -> float:
         return float(self.t[-1]) + self.dt if len(self.t) else 0.0
+
+    @property
+    def reflex_events(self) -> list[tuple[int, float]]:
+        """(muscle, time) of every reflex fire, in tick order, then muscle order."""
+        rows, muscles = np.nonzero(self.reflex_fired)
+        return [(int(j), float(self.t[i])) for i, j in zip(rows, muscles)]
+
+    # ---- rows ----
+
+    @staticmethod
+    def allocate(n_rows: int, dt: float, n_joints: int, n_muscles: int) -> TelemetryLog:
+        """A log of ``n_rows`` zero rows at times i * dt, to be filled in."""
+        return TelemetryLog(dt, np.arange(n_rows) * dt, **{
+            b.name: np.zeros((n_rows, b.width(n_joints, n_muscles)), b.dtype) for b in _BLOCKS
+        })
+
+    def head(self, rows: int) -> TelemetryLog:
+        """A copy of the first ``rows`` rows and of the scripted events so far."""
+        return replace(self, t=self.t[:rows], scripted_events=list(self.scripted_events),
+                       **{b.name: getattr(self, b.name)[:rows].copy() for b in _BLOCKS})
+
+    def grown(self, n_rows: int) -> TelemetryLog:
+        """A copy of this log followed by zero rows, ``n_rows`` in all."""
+        log = TelemetryLog.allocate(n_rows, self.dt, self.n_joints, self.n_muscles)
+        for b in _BLOCKS:
+            getattr(log, b.name)[:len(self.t)] = getattr(self, b.name)
+        log.scripted_events = list(self.scripted_events)
+        return log
+
+    def finished(self, end: int, f_max: np.ndarray) -> TelemetryLog:
+        """The first ``end`` rows, with saturated and slack set from the tensions."""
+        log = replace(self, t=self.t[:end], **{b.name: getattr(self, b.name)[:end] for b in _BLOCKS})
+        log.saturated[:] = log.f >= f_max
+        log.slack[:] = log.f < SLACK_TENSION
+        return log
 
     # ---- time indexing ----
 
@@ -96,15 +148,7 @@ class TelemetryLog:
 
     def header(self) -> list[str]:
         n, m = self.n_joints, self.n_muscles
-        cols = ["t"]
-        cols += [f"theta_{i}" for i in range(n)]
-        cols += [f"omega_{i}" for i in range(n)]
-        for stem in ("l_motor", "l_ref_cmd", "l_ref_eff", "f", "df", "reflex_offset", "reflex_fired"):
-            cols += [f"{stem}_{j}" for j in range(m)]
-        cols += [f"limit_force_{i}" for i in range(n)]
-        for stem in ("saturated", "slack"):
-            cols += [f"{stem}_{j}" for j in range(m)]
-        return cols
+        return ["t", *(f"{b.stem}_{i}" for b in _BLOCKS for i in range(b.width(n, m)))]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -112,11 +156,7 @@ class TelemetryLog:
 
     def write_csv(self, fh: io.TextIOBase) -> None:
         fh.write(",".join(self.header()) + "\n")
-        blocks = [
-            self.t[:, None], self.theta, self.omega, self.l_motor,
-            self.l_ref_commanded, self.l_ref_effective, self.f, self.df,
-            self.reflex_offset, self.reflex_fired, self.limit_force, self.saturated, self.slack,
-        ]
+        blocks = [self.t[:, None], *(getattr(self, b.name) for b in _BLOCKS)]
         # repr of a Python float or int is the column text.  The columns of one
         # dtype are formatted together, a chunk of rows at a time, so the
         # objects made for it stay a few hundred kB
@@ -141,29 +181,14 @@ class TelemetryLog:
         n = sum(1 for c in header if c.startswith("theta_"))
         m = sum(1 for c in header if c.startswith("f_"))
 
-        def grab(stem: str, count: int) -> np.ndarray:
+        def grab(b: _Block) -> np.ndarray:
             # C order so reductions sum in the same order as the live arrays
-            return np.ascontiguousarray(data[:, [col[f"{stem}_{i}"] for i in range(count)]])
+            cols = [col[f"{b.stem}_{i}"] for i in range(b.width(n, m))]
+            return np.ascontiguousarray(data[:, cols]).astype(b.dtype, copy=False)
 
         t = data[:, col["t"]]
         dt = float(t[1] - t[0]) if len(t) > 1 else 1e-3
-        log = TelemetryLog(
-            dt=dt,
-            t=t,
-            theta=grab("theta", n),
-            omega=grab("omega", n),
-            l_motor=grab("l_motor", m),
-            l_ref_commanded=grab("l_ref_cmd", m),
-            l_ref_effective=grab("l_ref_eff", m),
-            f=grab("f", m),
-            df=grab("df", m),
-            reflex_offset=grab("reflex_offset", m),
-            reflex_fired=grab("reflex_fired", m).astype(np.uint8),
-            limit_force=grab("limit_force", n),
-            saturated=grab("saturated", m).astype(np.uint8),
-            slack=grab("slack", m).astype(np.uint8),
-        )
-        fired = log.reflex_fired
-        for i, j in zip(*np.nonzero(fired)):
-            log.reflex_events.append((int(j), float(t[i])))
-        return log
+        return TelemetryLog(dt, t, **{b.name: grab(b) for b in _BLOCKS})
+
+
+_BLOCKS = tuple(_Block(f.name, *f.metadata["block"]) for f in fields(TelemetryLog) if f.metadata)

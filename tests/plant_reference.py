@@ -6,8 +6,8 @@ state records rebuilt every step and numpy calls on 2- and 4-element
 arrays, one function per physical term.  It is slow and independent on
 purpose, and is used as the oracle for the bit-for-bit engine equivalence
 check (``tests/test_engine_oracle.py``).  Only the scenario, robot and
-controller parameter records, the feedback update and the log container are
-shared with the package.
+controller parameter records, the control rate, the feedback update and the
+log container are shared with the package.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from reflex_sim.control import FeedbackParams, FeedbackState, feedback_update
 from reflex_sim.errors import SimulationDiverged
 from reflex_sim.reflex import ReflexParams
 from reflex_sim.robot import Robot
-from reflex_sim.scenario import Impulse, ScenarioScript
+from reflex_sim.scenario import CONTROL_RATE_HZ, Impulse, ScenarioScript
 from reflex_sim.telemetry import SLACK_TENSION, TelemetryLog
 
 
@@ -214,14 +214,18 @@ def run(
     robot: Robot,
     reflex: ReflexParams | None = None,
     feedback: FeedbackParams | None = None,
-) -> TelemetryLog:
-    """The array-form engine loop; same contract as ``reflex_sim.scenario.run``."""
+) -> tuple[TelemetryLog, list[tuple[int, float]]]:
+    """The array-form engine loop; same contract as ``reflex_sim.scenario.run``.
+
+    Returns the log and the (muscle, time) of each reflex fire, listed as the
+    reflex reports them, apart from the log's ``reflex_fired`` column.
+    """
     model = robot.model
     muscles = robot.muscles
     n, m = model.n_joints, model.n_muscles
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
-    control_every = int(round(1.0 / (scenario.control_rate_hz * dt)))
+    control_every = int(round(1.0 / (CONTROL_RATE_HZ * dt)))
     fb_every = int(round(1.0 / (feedback.rate_hz * dt))) if feedback is not None else 0
 
     theta0 = np.asarray(scenario.theta0, dtype=float)
@@ -317,12 +321,12 @@ def run(
         unit = step_motor(unit, refs_eff, dt, muscles)
         state = new_state
 
-    return TelemetryLog(
+    log = TelemetryLog(
         dt=dt,
         t=T, theta=TH, omega=OM,
         l_motor=LM, l_ref_commanded=LRC, l_ref_effective=LRE,
         f=F, df=DF, reflex_offset=OFF, reflex_fired=FIRED,
         limit_force=LF, saturated=SAT, slack=SLK,
-        reflex_events=reflex_events,
         scripted_events=scripted,
     )
+    return log, reflex_events

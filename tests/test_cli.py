@@ -307,6 +307,14 @@ def _builtin_on(scenario, robot):
     return {"schema_version": 1, "kind": "experiment", "scenario": scenario, "robot": robot}
 
 
+def _named(name):
+    return dict(mini_doc(), name=name)
+
+
+def _sweep_labelled(label):
+    return dict(mini_doc(), sweep=[{"label": label, "reflex": False}])
+
+
 # configs that validate once accepted, or crashed on, and that run could not run:
 # it stopped with a traceback or with exit 2; write_robots makes the robot files
 RUN_CRASHERS = [
@@ -325,7 +333,7 @@ RUN_CRASHERS = [
     pytest.param("e2", _builtin_on("e2", "robot3.yaml"), "robot", id="builtin-on-3-joint-robot"),
     pytest.param("custom", mini_doc(robot="negative_inertia.yaml"), "joints[0].inertia",
                  id="invalid-robot-file"),
-    pytest.param("e1", _builtin_on("e1", "no_elbow_flexor.yaml"), "robot: no muscle on joint 1",
+    pytest.param("e4", _builtin_on("e4", "no_elbow_flexor.yaml"), "robot: no muscle on joint 1",
                  id="builtin-on-robot-that-cannot-hold-the-lift"),
     pytest.param("custom", _mini_with(theta0=[0.0, -1.0, 0.0]), "custom.theta0",
                  id="theta0-wider-than-robot"),
@@ -352,6 +360,14 @@ RUN_CRASHERS = [
                  id="jitter-wider-than-the-run"),
     pytest.param("custom", _custom_doc("feedback", "rate_hz", 1e-320), "feedback.rate_hz",
                  id="feedback-period-past-float-range"),
+    pytest.param("custom", _sweep_labelled("comparison.csv"), "sweep[0].label",
+                 id="sweep-label-naming-the-comparison-file"),
+    pytest.param("custom", _named("../../x"), "name", id="name-leaving-the-output-directory"),
+    pytest.param("custom", _named(".."), "name", id="name-of-the-parent-directory"),
+    pytest.param("custom", _sweep_labelled("../../x"), "sweep[0].label",
+                 id="sweep-label-leaving-the-output-directory"),
+    pytest.param("custom", _sweep_labelled("a\\b"), "sweep[0].label", id="sweep-label-with-backslash"),
+    pytest.param("custom", _sweep_labelled(True), "sweep[0].label", id="sweep-label-yaml-boolean"),
 ]
 
 
@@ -364,6 +380,13 @@ def test_validate_rejects_what_run_cannot_run(tmp_path, capsys, exp, doc, field)
     assert main(["run", exp, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_builtin_runs_on_a_robot_only_another_builtin_rejects(tmp_path):
+    # no muscle flexes the elbow: e4's lift cannot be held, e1 needs no hold
+    write_robots(tmp_path)
+    cfg = write_yaml(tmp_path / "e1.yaml", _builtin_on("e1", "no_elbow_flexor.yaml"))
+    assert main(["run", "e1", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_theta_ref_arity_checked_against_robot(tmp_path, capsys):
@@ -389,11 +412,18 @@ def physics_steps(monkeypatch):
 
 # reflex-off runs of e2 (10 s) and e4 (9.9 s, with and without friction) in
 # full; e2's three reflex-on runs from their fork at step 1010; e4's from
-# step 7420, and not at all without friction, where it never fires
-@pytest.mark.parametrize("exp, steps", [("e2", 10_000 + 3 * 8_990), ("e4", 9_900 + 2_480 + 9_900)])
-def test_check_makes_each_distinct_run_once_and_forks_the_rest(tmp_path, physics_steps, exp, steps):
-    assert main(["run", exp, "--check", "--out", str(tmp_path / "out")]) == 0
+# step 7420, and not at all without friction, where it never fires.  A seed
+# draws nothing on a built-in, so the seeded run is still the check's own
+@pytest.mark.parametrize("exp, seed, steps", [
+    pytest.param("e2", (), 10_000 + 3 * 8_990, id="e2-36970"),
+    pytest.param("e2", ("--seed", "3"), 10_000 + 3 * 8_990, id="e2-seed3-36970"),
+    pytest.param("e4", (), 9_900 + 2_480 + 9_900, id="e4-22280"),
+])
+def test_check_makes_each_distinct_run_once_and_forks_the_rest(tmp_path, capsys, physics_steps, exp,
+                                                               seed, steps):
+    assert main(["run", exp, *seed, "--check", "--out", str(tmp_path / "out")]) == 0
     assert physics_steps[0] == steps
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"PASS {exp} ")
 
 
 def test_check_does_not_reuse_a_run_the_config_changed(tmp_path, capsys, physics_steps):

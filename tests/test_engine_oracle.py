@@ -1,8 +1,9 @@
 """The plain-float engine against the array-form reference, bit for bit.
 
-Every ``TelemetryLog`` field must have the same bytes and every event list
-must be equal; there is no tolerance.  A mismatch is a bug in one of the
-two engines.
+Every ``TelemetryLog`` field must have the same bytes, the scripted events
+must be equal, and the reflex events read from the engine's ``reflex_fired``
+column must equal the reference's own list of fires; there is no tolerance.
+A mismatch is a bug in one of the two engines.
 """
 
 from dataclasses import fields, replace
@@ -25,7 +26,7 @@ from reflex_sim.telemetry import TelemetryLog
 
 def _assert_same_bits(robot, scenario, reflex, feedback) -> TelemetryLog:
     got = run(scenario, robot, reflex, feedback)
-    want = plant_reference.run(scenario, robot, reflex, feedback)
+    want, want_fires = plant_reference.run(scenario, robot, reflex, feedback)
     for f in fields(TelemetryLog):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if isinstance(b, np.ndarray):
@@ -33,6 +34,7 @@ def _assert_same_bits(robot, scenario, reflex, feedback) -> TelemetryLog:
             assert a.tobytes() == b.tobytes(), f.name
         else:
             assert a == b, f.name
+    assert got.reflex_events == want_fires
     return got
 
 

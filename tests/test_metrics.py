@@ -19,7 +19,7 @@ from reflex_sim.metrics import (
 from reflex_sim.telemetry import TelemetryLog
 
 
-def make_log(theta, f=None, dt=0.01, limit_force=None, events=None):
+def make_log(theta, f=None, dt=0.01, limit_force=None):
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if theta.shape[0] == 1:
         theta = theta.T
@@ -47,7 +47,6 @@ def make_log(theta, f=None, dt=0.01, limit_force=None, events=None):
         limit_force=np.asarray(limit_force, dtype=float),
         saturated=zu.copy(),
         slack=zu.copy(),
-        reflex_events=list(events or []),
     )
 
 
@@ -207,19 +206,19 @@ class TestReportRoundTrip:
 
     def test_summary_file_round_trip(self, tmp_path):
         log = step_log(-1.570, -1.547, t_step=2.0, duration=4.0)
-        log.reflex_events.append((0, 2.0))
+        log.reflex_fired[200, 0] = 1  # muscle 0 fires at t = 2.0
         report = compute_report(log, self._params())
         path = tmp_path / "metrics.txt"
         write_summary(report, path)
         kv = read_summary(path)
         assert kv["drift_joint_0"] == repr(drift(log, 0, 1.0, 4.0))
         assert kv["reflex_event_count"] == "1"
+        assert log.reflex_events == [(0, 2.0)]
         assert params_from_summary(kv) == self._params()
 
     def test_recompute_from_csv_matches_exactly(self, tmp_path):
         log = step_log(-1.570, -1.547, t_step=2.0, duration=4.0)
-        log.reflex_events.append((0, 2.0))
-        log.reflex_fired[200, 0] = 1  # keep the CSV consistent with the event
+        log.reflex_fired[200, 0] = 1
         params = self._params()
         stored = report_lines(compute_report(log, params))
         log.to_csv(tmp_path / "log.csv")
