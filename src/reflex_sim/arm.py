@@ -100,7 +100,6 @@ class ArmModel:
     l0: np.ndarray  # muscle path lengths at the zero posture, mm
     links: LinkParams
     gravity_g: float = 9.81
-    gravity_enabled: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "floats", _Floats(self))
@@ -137,8 +136,6 @@ def gravity_torques(theta: list[float], payload_mass: float, model: ArmModel) ->
     tau_i = -g * sum_{j>=i} sin(phi_j) * w_j with w_j collecting the link's
     own com term plus everything hanging distal of link j.
     """
-    if not model.gravity_enabled:
-        return [0.0] * len(theta)
     a = model.floats
     terms = [
         math.sin(phi) * (mc + length * (distal + payload_mass))

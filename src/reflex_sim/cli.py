@@ -36,6 +36,7 @@ from .metrics import (
     params_from_summary,
     read_summary,
     report_lines,
+    report_values,
     write_summary,
 )
 from .scenario import run_each
@@ -131,19 +132,11 @@ def _resolve_sweep(exp: ExperimentDef, sweep_arg: str) -> tuple[Variant, ...]:
 # ---- execution ----
 
 
-def _write_comparison(exp_dir: Path, variants: tuple[Variant, ...]) -> None:
-    rows = []
-    keys: list[str] | None = None
-    for v in variants:
-        kv = read_summary(exp_dir / v.label / "metrics.txt")
-        metric_keys = [k for k in kv if not k.startswith("params.")]
-        if keys is None:
-            keys = metric_keys
-        rows.append([v.label] + [kv.get(k, "") for k in keys])
-    with open(exp_dir / "comparison.csv", "w") as fh:
-        fh.write(",".join(["variant"] + (keys or [])) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _write_comparison(path: Path, rows: list[tuple[str, dict[str, str]]]) -> None:
+    keys = list(rows[0][1])
+    with open(path, "w") as fh:
+        fh.write(",".join(["variant", *keys]) + "\n")
+        fh.writelines(",".join([label, *(kv.get(k, "") for k in keys)]) + "\n" for label, kv in rows)
 
 
 def _cmd_run(args) -> int:
@@ -152,17 +145,18 @@ def _cmd_run(args) -> int:
     exp_dir = Path(args.out) / exp.name
     variants = _resolve_sweep(exp, args.sweep) if args.sweep else (exp.default_variant,)
     out_dirs = [exp_dir / v.label for v in variants] if args.sweep else [exp_dir]
-    written = []
+    reports = {}
 
     def write(out_dir: Path, log: TelemetryLog) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
         log.to_csv(out_dir / "log.csv")
-        write_summary(compute_report(log, exp.analysis), out_dir / "metrics.txt")
-        written.append(out_dir)
-        if len(written) < len(out_dirs):
+        reports[out_dir] = compute_report(log, exp.analysis)
+        write_summary(reports[out_dir], out_dir / "metrics.txt")
+        if len(reports) < len(out_dirs):
             return
         if args.sweep:
-            _write_comparison(exp_dir, variants)
+            _write_comparison(exp_dir / "comparison.csv",
+                              [(v.label, report_values(reports[d])) for v, d in zip(variants, out_dirs)])
             print(f"wrote {len(variants)} runs under {exp_dir}")
         else:
             print(f"wrote {exp_dir / 'log.csv'}")
@@ -189,17 +183,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    path = Path(args.log)
-    if not path.exists():
-        raise ConfigError([f"metrics: file not found: {path}"])
-    log = TelemetryLog.from_csv(path)
-    sibling = path.parent / "metrics.txt"
-    if sibling.exists():
-        params = params_from_summary(read_summary(sibling))
-    else:
-        params = AnalysisParams()
-    for line in report_lines(compute_report(log, params)):
-        print(line)
+    at = path = Path(args.log)  # the file a ValueError is about
+    if not path.is_file():
+        raise ConfigError([f"metrics: not a file: {path}"])
+    try:
+        log = TelemetryLog.from_csv(path)
+        at = path.parent / "metrics.txt"
+        params = params_from_summary(read_summary(at)) if at.is_file() else AnalysisParams()
+        lines = report_lines(compute_report(log, params))
+    except ValueError as e:
+        raise ConfigError([f"metrics: {at}: {e}"]) from None
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import importlib.resources
 import inspect
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_NAME_MAX = 255  # bytes in one file name, the common file systems' limit
 
 # libyaml's parser when PyYAML was built with it; either way PyYAML's own
 # resolver and constructor type the scalars, so both give the same documents
@@ -178,9 +180,13 @@ def _switch(section: dict, path, errors) -> bool | None:
 def _dir_name(v, at, errors) -> bool:
     """Whether ``v`` names one directory inside the output directory; an error if not."""
     if isinstance(v, str) and v not in ("", ".", "..") and not any(c in v for c in "/\\\0"):
-        return True
-    errors.append(f"{at}: must be a non-empty string other than '.' and '..', "
-                  f"without '/', '\\' or NUL, got {v!r}")
+        try:
+            if len(os.fsencode(v)) <= _NAME_MAX:
+                return True
+        except UnicodeEncodeError:
+            pass
+    errors.append(f"{at}: must be a non-empty string other than '.' and '..', of at most "
+                  f"{_NAME_MAX} bytes, without '/', '\\' or NUL, got {v!r}")
     return False
 
 
@@ -537,6 +543,7 @@ def _parse_experiment(doc, base_dir: Path) -> Experiment:
         feedback_on = base.feedback is not None
     exp = replace(
         base,
+        name=name,
         default_variant=variant,
         # a custom script compares reflex off with the reflex as the file sets it
         paper_sweep=(variant.switched(False), variant.switched(True)) if script else base.paper_sweep,

@@ -297,10 +297,6 @@ EXPERIMENT_FUNCTIONS = {
 EXPERIMENT_NAMES = tuple(EXPERIMENT_FUNCTIONS)
 
 
-def builtin_experiments(robot: Robot, **overrides) -> dict[str, ExperimentDef]:
-    """All four experiments keyed by name.
-
-    ``overrides`` are per-experiment keyword dicts, e.g.
-    ``builtin_experiments(robot, e1={"impact_domega": 2.0})``.
-    """
-    return {name: fn(robot, **overrides.get(name, {})) for name, fn in EXPERIMENT_FUNCTIONS.items()}
+def builtin_experiments(robot: Robot) -> dict[str, ExperimentDef]:
+    """All four experiments keyed by name, as they ship."""
+    return {name: fn(robot) for name, fn in EXPERIMENT_FUNCTIONS.items()}

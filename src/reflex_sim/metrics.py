@@ -14,7 +14,8 @@ again; if the log ends while still astray the run is flagged non-converged
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import count
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "max_deviation",
     "limit_contact",
     "compute_report",
+    "report_values",
     "report_lines",
     "write_summary",
     "read_summary",
@@ -58,19 +60,19 @@ class AnalysisParams:
     conv_joint: int | None = None
     conv_t_impact: float | None = None
     conv_theta_thre: float | None = None
-    conv_direction: str = "below"
+    conv_direction: str | None = None  # "below" or "above"
 
 
 @dataclass(frozen=True)
 class MetricsReport:
     params: AnalysisParams
     peak_tension: float
-    peak_tension_per_muscle: tuple[float, ...]
+    peak_tension_muscle: tuple[float, ...]
     steady_tension: float
     limit_contact: float
     reflex_event_count: int
-    drift: tuple[float, ...] | None = None
-    max_deviation: tuple[float, ...] | None = None
+    drift_joint: tuple[float, ...] | None = None
+    max_deviation_joint: tuple[float, ...] | None = None
     conv_time: float | None = None  # inf when non-converged
     converged: bool | None = None
 
@@ -145,6 +147,10 @@ def limit_contact(log: TelemetryLog) -> float:
 
 
 def compute_report(log: TelemetryLog, params: AnalysisParams) -> MetricsReport:
+    if params.theta_ref is not None and len(params.theta_ref) != log.n_joints:
+        raise ValueError(f"theta_ref: {len(params.theta_ref)} values for {log.n_joints} joints")
+    if params.conv_joint is not None and not 0 <= params.conv_joint < log.n_joints:
+        raise ValueError(f"conv_joint: {params.conv_joint} is not one of {log.n_joints} joints")
     peak_per = tuple(float(v) for v in np.max(log.f, axis=0))
     peak, steady = tension_stats(log, params.window_final)
 
@@ -176,18 +182,24 @@ def compute_report(log: TelemetryLog, params: AnalysisParams) -> MetricsReport:
     return MetricsReport(
         params=params,
         peak_tension=peak,
-        peak_tension_per_muscle=peak_per,
+        peak_tension_muscle=peak_per,
         steady_tension=steady,
         limit_contact=limit_contact(log),
         reflex_event_count=int(np.count_nonzero(log.reflex_fired)),
-        drift=drift_vals,
-        max_deviation=dev_vals,
+        drift_joint=drift_vals,
+        max_deviation_joint=dev_vals,
         conv_time=ct,
         converged=converged,
     )
 
 
 # ---- key = value summary files ----
+#
+# Each set field of a report is one key named after the field, a tuple field
+# one key per index, {field}_{j}; an unset (None) field writes no line.  The
+# analysis parameters follow by the same rule, with the prefix "params.".
+
+_PARAMS = "params."
 
 
 def _fmt(v) -> str:
@@ -198,44 +210,30 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def report_lines(report: MetricsReport) -> list[str]:
-    lines = [f"peak_tension = {_fmt(report.peak_tension)}"]
-    for j, v in enumerate(report.peak_tension_per_muscle):
-        lines.append(f"peak_tension_muscle_{j} = {_fmt(v)}")
-    lines.append(f"steady_tension = {_fmt(report.steady_tension)}")
-    lines.append(f"limit_contact = {_fmt(report.limit_contact)}")
-    lines.append(f"reflex_event_count = {report.reflex_event_count}")
-    if report.drift is not None:
-        for j, v in enumerate(report.drift):
-            lines.append(f"drift_joint_{j} = {_fmt(v)}")
-    if report.max_deviation is not None:
-        for j, v in enumerate(report.max_deviation):
-            lines.append(f"max_deviation_joint_{j} = {_fmt(v)}")
-    if report.conv_time is not None:
-        lines.append(f"conv_time = {_fmt(report.conv_time)}")
-        lines.append(f"converged = {_fmt(report.converged)}")
+def _keyed(obj, prefix: str) -> dict[str, str]:
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, tuple):
+            out.update((f"{prefix}{f.name}_{j}", _fmt(x)) for j, x in enumerate(v))
+        elif v is not None and not isinstance(v, AnalysisParams):
+            out[prefix + f.name] = _fmt(v)
+    return out
 
-    p = report.params
-    lines.append(f"params.window = {_fmt(p.window)}")
-    lines.append(f"params.window_final = {_fmt(p.window_final)}")
-    if p.drift_t_before is not None:
-        lines.append(f"params.drift_t_before = {_fmt(p.drift_t_before)}")
-        lines.append(f"params.drift_t_after = {_fmt(p.drift_t_after)}")
-    if p.theta_ref is not None:
-        for j, v in enumerate(p.theta_ref):
-            lines.append(f"params.theta_ref_{j} = {_fmt(v)}")
-    if p.conv_joint is not None:
-        lines.append(f"params.conv_joint = {p.conv_joint}")
-        lines.append(f"params.conv_t_impact = {_fmt(p.conv_t_impact)}")
-        lines.append(f"params.conv_theta_thre = {_fmt(p.conv_theta_thre)}")
-        lines.append(f"params.conv_direction = {p.conv_direction}")
-    return lines
+
+def report_values(report: MetricsReport) -> dict[str, str]:
+    """The summary's metric keys and their text, in file order, without the parameters."""
+    return _keyed(report, "")
+
+
+def report_lines(report: MetricsReport) -> list[str]:
+    kv = {**report_values(report), **_keyed(report.params, _PARAMS)}
+    return [f"{k} = {v}" for k, v in kv.items()]
 
 
 def write_summary(report: MetricsReport, path) -> None:
     with open(path, "w") as fh:
-        for line in report_lines(report):
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in report_lines(report))
 
 
 def read_summary(path) -> dict[str, str]:
@@ -251,26 +249,26 @@ def read_summary(path) -> dict[str, str]:
 
 
 def params_from_summary(kv: dict[str, str]) -> AnalysisParams:
-    """Rebuild the analysis parameters stored alongside the metric values."""
+    """The analysis parameters stored alongside the metric values.
 
-    def get_float(key):
-        return float(kv[key]) if key in kv else None
+    A field without a key keeps its default.  A value that does not parse as
+    its field's type raises ValueError naming the key.
+    """
 
-    theta_ref = None
-    if "params.theta_ref_0" in kv:
-        vals = []
-        while f"params.theta_ref_{len(vals)}" in kv:
-            vals.append(float(kv[f"params.theta_ref_{len(vals)}"]))
-        theta_ref = tuple(vals)
+    def parse(key, kind):
+        try:
+            return kind(kv[key])
+        except ValueError:
+            raise ValueError(f"{key}: must be a {kind.__name__}, got {kv[key]!r}") from None
 
-    return AnalysisParams(
-        window=float(kv.get("params.window", 0.5)),
-        window_final=float(kv.get("params.window_final", 1.0)),
-        drift_t_before=get_float("params.drift_t_before"),
-        drift_t_after=get_float("params.drift_t_after"),
-        theta_ref=theta_ref,
-        conv_joint=int(kv["params.conv_joint"]) if "params.conv_joint" in kv else None,
-        conv_t_impact=get_float("params.conv_t_impact"),
-        conv_theta_thre=get_float("params.conv_theta_thre"),
-        conv_direction=kv.get("params.conv_direction", "below"),
-    )
+    values = {}
+    for f in fields(AnalysisParams):
+        key = _PARAMS + f.name
+        kind = {"int": int, "str": str}.get(f.type.split(" ")[0], float)  # a tuple holds floats
+        if f.type.startswith("tuple"):
+            n = next(j for j in count() if f"{key}_{j}" not in kv)
+            if n:
+                values[f.name] = tuple(parse(f"{key}_{j}", kind) for j in range(n))
+        elif key in kv:
+            values[f.name] = parse(key, kind)
+    return AnalysisParams(**values)

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "MuscleParams",
-    "tension_from_elongation",
     "elongation_from_tension",
     "step_motor",
     "update_tension",
@@ -51,19 +50,6 @@ class MuscleParams:
         for name in ("k", "f_max", "motor_vmax", "servo_gain"):
             value = np.asarray(getattr(self, name), dtype=float).tolist()
             object.__setattr__(self, f"{name}_list", value)
-
-
-def tension_from_elongation(delta_n, k, f_max=None):
-    """Tension of the elastic element at elongation ``delta_n`` (mm).
-
-    Pure exponential for all elongations (no piecewise zero on the slack
-    side).  Clamped to [0, f_max] when a clamp is given.  Non-finite input is
-    an invalid argument.
-    """
-    if not np.all(np.isfinite(delta_n)):
-        raise ValueError(f"non-finite elongation: {delta_n!r}")
-    f = np.exp(np.multiply(k, delta_n))
-    return f if f_max is None else np.minimum(f, f_max)
 
 
 def elongation_from_tension(f, k):

@@ -21,6 +21,8 @@ byte-identical files.  Reflex events are in the per-tick stream, as
 from __future__ import annotations
 
 import io
+import re
+import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -147,8 +149,7 @@ class TelemetryLog:
     # ---- CSV ----
 
     def header(self) -> list[str]:
-        n, m = self.n_joints, self.n_muscles
-        return ["t", *(f"{b.stem}_{i}" for b in _BLOCKS for i in range(b.width(n, m)))]
+        return _header(self.n_joints, self.n_muscles)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -174,12 +175,28 @@ class TelemetryLog:
 
     @staticmethod
     def from_csv(path) -> "TelemetryLog":
+        """The log a CSV file holds; ValueError names the column or row at fault."""
         with open(path, "r", newline="") as fh:
             header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        col = {name: i for i, name in enumerate(header)}
-        n = sum(1 for c in header if c.startswith("theta_"))
-        m = sum(1 for c in header if c.startswith("f_"))
+            col = {name: i for i, name in enumerate(header)}
+            # counted as one at least, so a file without joints or muscles lacks theta_0 or f_0
+            n = sum(1 for c in header if c.startswith("theta_")) or 1
+            m = sum(1 for c in header if c.startswith("f_")) or 1
+            missing = [c for c in _header(n, m) if c not in col]
+            if missing:
+                raise ValueError(f"no column {missing[0]} in the header")
+            try:
+                with warnings.catch_warnings():  # on no rows; reported below
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as e:
+                at = re.search(r"column (\d+)", str(e))  # numpy counts columns from 1
+                name = f"column {header[int(at[1]) - 1]}: " if at and int(at[1]) <= len(header) else ""
+                raise ValueError(f"{name}{e}") from None
+        if not len(data):
+            raise ValueError("no rows after the header")
+        if data.shape[1] != len(header):
+            raise ValueError(f"rows have {data.shape[1]} columns, the header {len(header)}")
 
         def grab(b: _Block) -> np.ndarray:
             # C order so reductions sum in the same order as the live arrays
@@ -192,3 +209,7 @@ class TelemetryLog:
 
 
 _BLOCKS = tuple(_Block(f.name, *f.metadata["block"]) for f in fields(TelemetryLog) if f.metadata)
+
+
+def _header(n_joints: int, n_muscles: int) -> list[str]:
+    return ["t", *(f"{b.stem}_{i}" for b in _BLOCKS for i in range(b.width(n_joints, n_muscles)))]

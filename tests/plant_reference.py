@@ -46,9 +46,6 @@ def joint_torques(f, model) -> np.ndarray:
 
 
 def gravity_torques(state: ArmState, model) -> np.ndarray:
-    n = model.n_joints
-    if not model.gravity_enabled:
-        return np.zeros(n)
     mass, length, com = model.links.mass, model.links.length, model.links.com
     phi = np.cumsum(state.theta)
     distal = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])

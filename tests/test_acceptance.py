@@ -41,7 +41,7 @@ from reflex_sim.acceptance import check_experiment, zero_friction
 from reflex_sim.cli import main
 from reflex_sim.config import default_robot
 from reflex_sim.control import FeedbackParams, FeedbackState, feedback_update
-from reflex_sim.muscles import elongation_from_tension, tension_from_elongation
+from reflex_sim.muscles import MuscleParams, elongation_from_tension, update_tension
 from reflex_sim.reflex import ReflexParams, ReflexState, update as reflex_update
 from reflex_sim.scenario import Impulse, ScenarioScript, run
 from reflex_sim.arm import effective_inertia
@@ -160,7 +160,10 @@ def test_criterion_6_closed_forms():
     worst_rt = 0.0
     for k in (0.3, 0.5, 1.0):
         f = np.logspace(-2, np.log10(390.0), 400)
-        back = tension_from_elongation(elongation_from_tension(f, k), k)
+        # the engine's law: motors at 0, paths at the elongations, no clamp
+        unclamped = MuscleParams(k=np.full(400, k), f_max=np.full(400, np.inf),
+                                 motor_vmax=np.ones(400), servo_gain=np.ones(400))
+        back = np.array(update_tension([0.0] * 400, elongation_from_tension(f, k).tolist(), unclamped))
         worst_rt = max(worst_rt, float(np.max(np.abs(back - f) / f)))
 
     # release ramp: after one fire the offset is exactly linear in time

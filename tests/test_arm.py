@@ -22,7 +22,6 @@ from reflex_sim.errors import SimulationDiverged
 
 def _model(
     *,
-    gravity_enabled: bool = True,
     mu_static: tuple[float, float] = (2.0, 2.0),
     mu_kinetic: tuple[float, float] = (1.4, 1.4),
     damping: tuple[float, float] = (0.0, 0.0),
@@ -55,7 +54,6 @@ def _model(
             com=np.array([0.11, 0.054]),
         ),
         gravity_g=9.81,
-        gravity_enabled=gravity_enabled,
     )
 
 
@@ -84,7 +82,7 @@ def _single_joint_model(
         G=np.array([[20.0]]),
         l0=np.array([250.0]),
         links=LinkParams(mass=np.array([1.0]), length=np.array([0.2]), com=np.array([0.1])),
-        gravity_enabled=False,
+        gravity_g=0.0,
     )
 
 
@@ -101,7 +99,7 @@ def test_flexed_posture_shortens_negative_moment_arm_muscle() -> None:
     m = _single_joint_model()
     m = ArmModel(
         joints=m.joints, G=np.array([[-20.0]]), l0=m.l0, links=m.links,
-        gravity_g=m.gravity_g, gravity_enabled=False,
+        gravity_g=m.gravity_g,
     )
     l = muscle_lengths_from_joints(np.array([-1.57]), m)
     assert l[0] == pytest.approx(250.0 - 31.4, rel=1e-12)

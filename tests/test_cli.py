@@ -368,6 +368,9 @@ RUN_CRASHERS = [
                  id="sweep-label-leaving-the-output-directory"),
     pytest.param("custom", _sweep_labelled("a\\b"), "sweep[0].label", id="sweep-label-with-backslash"),
     pytest.param("custom", _sweep_labelled(True), "sweep[0].label", id="sweep-label-yaml-boolean"),
+    pytest.param("custom", _sweep_labelled("x" * 300), "sweep[0].label",
+                 id="sweep-label-longer-than-a-file-name"),
+    pytest.param("custom", _named("é" * 200), "name", id="name-of-400-bytes"),
 ]
 
 
@@ -387,6 +390,17 @@ def test_builtin_runs_on_a_robot_only_another_builtin_rejects(tmp_path):
     write_robots(tmp_path)
     cfg = write_yaml(tmp_path / "e1.yaml", _builtin_on("e1", "no_elbow_flexor.yaml"))
     assert main(["run", "e1", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_name_sets_the_output_directory_of_every_scenario(tmp_path, capsys):
+    # 255 bytes, the longest file name; --check still checks the built-in e1
+    name = "é" * 127 + "x"
+    cfg = write_yaml(tmp_path / "nm.yaml", {"schema_version": 1, "kind": "experiment",
+                                            "scenario": "e1", "name": name})
+    assert main(["run", "e1", "--config", str(cfg), "--check", "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("PASS e1 ")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [name]
+    assert (tmp_path / "out" / name / "metrics.txt").is_file()
 
 
 def test_theta_ref_arity_checked_against_robot(tmp_path, capsys):
@@ -543,6 +557,70 @@ def test_metrics_without_summary_uses_defaults(tmp_path, mini_cfg, capsys):
     out = capsys.readouterr().out
     assert "peak_tension = " in out
     assert "max_deviation_joint_0" not in out  # no stored theta_ref to measure against
+
+
+@pytest.mark.parametrize("exp, key", [("e1", "max_deviation_joint_1"), ("e2", "drift_joint_1"),
+                                      ("e3", "conv_time"), ("e4", "steady_tension")])
+def test_metrics_prints_each_builtin_summary(tmp_path, capsys, exp, key):
+    assert main(["run", exp, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["metrics", str(tmp_path / exp / "log.csv")]) == 0
+    stored = (tmp_path / exp / "metrics.txt").read_text()
+    assert capsys.readouterr().out == stored
+    assert f"\n{key} = " in stored
+
+
+def _sibling_params(run_dir):
+    summary = run_dir / "metrics.txt"
+    summary.write_text(summary.read_text().replace("params.window = 0.5", "params.window = abc"))
+    return run_dir / "log.csv", ("metrics.txt", "params.window")
+
+
+def _sibling_theta_ref(run_dir):
+    summary = run_dir / "metrics.txt"
+    lines = summary.read_text().splitlines(keepends=True)
+    summary.write_text("".join(line for line in lines if not line.startswith("params.theta_ref_1 ")))
+    return run_dir / "log.csv", ("metrics.txt", "theta_ref")
+
+
+def _bad_cell(run_dir):
+    log = run_dir / "log.csv"
+    head, first, *rest = log.read_text().splitlines(keepends=True)
+    cells = first.split(",")
+    cells[2] = "abc"  # theta_1
+    log.write_text("".join([head, ",".join(cells), *rest]))
+    return log, ("log.csv", "theta_1")
+
+
+def _header_only(run_dir):
+    log = run_dir / "log.csv"
+    log.write_text(log.read_text().splitlines(keepends=True)[0])
+    return log, ("log.csv", "no rows")
+
+
+def _no_omega(run_dir):
+    log = run_dir / "log.csv"
+    rows = [line.split(",") for line in log.read_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if not name.startswith("omega_")]
+    log.write_text("".join(",".join(row[i] for i in keep) + "\n" for row in rows))
+    return log, ("log.csv", "omega_0")
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(_sibling_params, id="summary-param-not-a-number"),
+    pytest.param(_sibling_theta_ref, id="summary-theta-ref-narrower-than-the-log"),
+    pytest.param(_bad_cell, id="log-cell-not-a-number"),
+    pytest.param(lambda run_dir: (run_dir, (run_dir.name,)), id="directory"),
+    pytest.param(_header_only, id="header-only-log"),
+    pytest.param(_no_omega, id="log-without-omega-columns"),
+])
+def test_metrics_on_files_it_did_not_write_exits_2(tmp_path, mini_cfg, capsys, spoil):
+    assert main(["run", "custom", "--config", str(mini_cfg), "--out", str(tmp_path / "out")]) == 0
+    path, named = spoil(tmp_path / "out" / "mini")
+    capsys.readouterr()
+    assert main(["metrics", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert all(n in err for n in named), err
 
 
 # ---- the contract: what validate accepts, run runs ----

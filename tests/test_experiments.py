@@ -8,7 +8,7 @@ import pytest
 from reflex_sim.config import default_robot
 from reflex_sim.arm import muscle_lengths_from_joints
 from reflex_sim.control import loaded_hold_refs
-from reflex_sim.experiments import builtin_experiments, drop_impulses
+from reflex_sim.experiments import builtin_experiments, drop_impulses, e1_experiment, e3_experiment
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +157,5 @@ class TestCatalog:
         assert names == {"e1": "e1", "e2": "e2", "e3": "e3", "e4": "e4"}
 
     def test_scenario_param_overrides(self, robot):
-        exps = builtin_experiments(robot, e1={"impact_domega": 2.5}, e3={"drop_mass": 5.0})
-        assert exps["e1"].scenario.impulses[0].delta_omega == 2.5
-        assert exps["e3"].scenario.payload_events[0].mass == 5.0
+        assert e1_experiment(robot, impact_domega=2.5).scenario.impulses[0].delta_omega == 2.5
+        assert e3_experiment(robot, drop_mass=5.0).scenario.payload_events[0].mass == 5.0

@@ -1,10 +1,17 @@
 """Metric definitions checked on hand-built synthetic logs."""
 
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflex_sim.metrics import (
     AnalysisParams,
+    MetricsReport,
     compute_report,
     conv_time,
     drift,
@@ -13,6 +20,7 @@ from reflex_sim.metrics import (
     params_from_summary,
     read_summary,
     report_lines,
+    report_values,
     tension_stats,
     write_summary,
 )
@@ -228,7 +236,64 @@ class TestReportRoundTrip:
     def test_intrinsic_only_report(self):
         log = make_log(np.zeros(300), f=np.full((300, 2), 40.0))
         report = compute_report(log, AnalysisParams())
-        assert report.drift is None and report.conv_time is None
+        assert report.drift_joint is None and report.conv_time is None
         assert report.peak_tension == 40.0
         lines = report_lines(report)
         assert not any(line.startswith("drift") for line in lines)
+
+
+# ---- the summary format: every drawn report reads back as written ----
+
+# -0.0 and the infinities included: each must come back with its own text
+values = st.floats(allow_nan=False)
+per_joint = st.lists(values, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def analysis_params(draw):
+    drift_ts = draw(st.none() | st.tuples(values, values))
+    conv = draw(st.none() | st.tuples(st.integers(0, 2), values, values,
+                                      st.sampled_from(("below", "above"))))
+    return AnalysisParams(
+        window=draw(values),
+        window_final=draw(values),
+        drift_t_before=drift_ts and drift_ts[0],
+        drift_t_after=drift_ts and drift_ts[1],
+        theta_ref=draw(st.none() | per_joint),
+        conv_joint=conv and conv[0],
+        conv_t_impact=conv and conv[1],
+        conv_theta_thre=conv and conv[2],
+        conv_direction=conv and conv[3],
+    )
+
+
+@st.composite
+def reports(draw):
+    conv = draw(st.none() | st.just(float("inf")) | values)
+    return MetricsReport(
+        params=draw(analysis_params()),
+        peak_tension=draw(values),
+        peak_tension_muscle=draw(st.lists(values, min_size=1, max_size=6).map(tuple)),
+        steady_tension=draw(values),
+        limit_contact=draw(values),
+        reflex_event_count=draw(st.integers(0, 10**6)),
+        drift_joint=draw(st.none() | per_joint),
+        max_deviation_joint=draw(st.none() | per_joint),
+        conv_time=conv,
+        converged=None if conv is None else conv != float("inf"),
+    )
+
+
+@given(report=reports())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_summary_reads_back_what_report_lines_wrote(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "metrics.txt"
+        write_summary(report, path)
+        assert path.read_text().splitlines() == report_lines(report)
+        kv = read_summary(path)
+    back = params_from_summary(kv)
+    assert back == report.params
+    # and bit for bit: -0.0 reads back as -0.0
+    assert report_lines(replace(report, params=back)) == report_lines(report)
+    assert report_values(report).items() <= kv.items()

@@ -11,7 +11,6 @@ from reflex_sim.muscles import (
     MuscleParams,
     elongation_from_tension,
     step_motor,
-    tension_from_elongation,
     update_tension,
 )
 
@@ -26,28 +25,34 @@ def _params(**kw) -> MuscleParams:
 # ---- constitutive law ----
 
 
+def _tension(delta_n: float, k: float, f_max: float = math.inf) -> float:
+    """The engine's tension at elongation ``delta_n`` (mm): motor at 0, path at delta_n."""
+    (f,) = update_tension([0.0], [delta_n], _params(k=k, f_max=f_max))
+    return f
+
+
 def test_zero_elongation_gives_unit_tension() -> None:
-    assert tension_from_elongation(0.0, 0.5) == 1.0
+    assert _tension(0.0, 0.5) == 1.0
 
 
 def test_tension_at_ten_mm() -> None:
     # e^(0.5 * 10) = e^5
-    assert tension_from_elongation(10.0, 0.5) == pytest.approx(148.4131591025766, rel=1e-12)
+    assert _tension(10.0, 0.5) == pytest.approx(148.4131591025766, rel=1e-12)
 
 
 def test_tension_clamped_at_f_max() -> None:
-    assert tension_from_elongation(20.0, 0.5, f_max=400.0) == 400.0
+    assert _tension(20.0, 0.5, f_max=400.0) == 400.0
 
 
 def test_negative_elongation_decays_toward_zero() -> None:
-    f = tension_from_elongation(-10.0, 0.5)
+    f = _tension(-10.0, 0.5)
     assert 0.0 < f < 0.01  # slack territory, still positive
 
 
 def test_non_finite_elongation_rejected() -> None:
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            tension_from_elongation(bad, 0.5)
+            _tension(bad, 0.5)
 
 
 def test_inverse_of_unit_tension_is_zero() -> None:
@@ -69,7 +74,7 @@ def test_non_positive_tension_rejected() -> None:
 @settings(max_examples=200)
 def test_round_trip_tension(f: float) -> None:
     k = 0.5
-    back = tension_from_elongation(elongation_from_tension(f, k), k)
+    back = _tension(elongation_from_tension(f, k), k)
     assert back == pytest.approx(f, rel=1e-9)
 
 
@@ -82,7 +87,7 @@ def test_tension_strictly_monotone_below_clamp(a: float, b: float) -> None:
     lo, hi = sorted((a, b))
     if hi - lo < 1e-9:  # below float resolution of exp, not a physical case
         return
-    assert tension_from_elongation(lo, 0.5) < tension_from_elongation(hi, 0.5)
+    assert _tension(lo, 0.5) < _tension(hi, 0.5)
 
 
 # ---- motor servo ----

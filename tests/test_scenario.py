@@ -17,7 +17,7 @@ from reflex_sim.scenario import (
 )
 
 
-def _robot(gravity=False, mu_s=0.02, mu_k=0.01, damping=(0.3, 0.15)):
+def _robot(mu_s=0.02, mu_k=0.01, damping=(0.3, 0.15)):
     joints = JointParams(
         inertia=np.array([0.12, 0.04]),
         damping=np.array(damping),
@@ -39,7 +39,7 @@ def _robot(gravity=False, mu_s=0.02, mu_k=0.01, damping=(0.3, 0.15)):
         G=np.array([[-60.0, 60.0, 0.0, 0.0], [0.0, 0.0, -50.0, 50.0]]),
         l0=np.array([300.0, 300.0, 250.0, 250.0]),
         links=links,
-        gravity_enabled=gravity,
+        gravity_g=0.0,
     )
     muscles = MuscleParams(
         k=np.full(4, 0.5),
@@ -294,7 +294,7 @@ class TestDivergence:
             G=robot.model.G,
             l0=robot.model.l0,
             links=robot.model.links,
-            gravity_enabled=False,
+            gravity_g=0.0,
         )
         bad = Robot(
             model=model,
